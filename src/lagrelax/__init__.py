@@ -53,10 +53,7 @@ from .gaussian import (
     GaussianRelaxation,
     GaussianSolveReport,
     build_gaussian_relaxation,
-    gaussian_dual_value,
     solve_gaussian,
-    sweep_moment_matching,
-    variance_bounds,
 )
 from .multiscale import (
     MultiscaleModel,

@@ -9,25 +9,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .decomposition import _window_starts
 from .models import GaussianInfoModel
 
 
 def overlapping_blocks_1d(n: int, size: int, overlap: int) -> list[list[int]]:
-    stride = max(size - overlap, 1)
-    starts = list(range(0, max(n - size, 0), stride))
-    starts.append(max(n - size, 0))
-    starts = sorted(set(starts))
+    starts = _window_starts(n, size, max(size - overlap, 1))
     return [list(range(s, min(s + size, n))) for s in starts]
 
 
 def vertical_strip_blocks(rows: int, cols: int, K: int, L: int) -> list[list[int]]:
-    stride = max(K - L, 1)
-    starts = list(range(0, max(cols - K, 0), stride))
-    starts.append(max(cols - K, 0))
-    starts = sorted(set(starts))
-    idx = lambda r, c: r * cols + c
+    starts = _window_starts(cols, K, max(K - L, 1))
     return [
-        [idx(r, c) for r in range(rows) for c in range(s, min(s + K, cols))]
+        [r * cols + c for r in range(rows) for c in range(s, min(s + K, cols))]
         for s in starts
     ]
 

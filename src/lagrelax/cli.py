@@ -57,7 +57,6 @@ def _cmd_solve(args) -> int:
         inner_tol=args.tol,
     )
     report = solve_discrete(model, config, schedule)
-    report.notes.append(f"seed: {args.seed}")
     print(
         f"g = {report.final_dual:.10g}  best f = {report.best_primal:.10g}  "
         f"gap_flag = {report.gap_flag}  ties = {len(report.tie_nodes)}"
@@ -154,7 +153,6 @@ def main(argv=None) -> int:
     p.add_argument("--decay", type=float, default=0.5)
     p.add_argument("--tau-min", dest="tau_min", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)
     p.add_argument("--dump-jt", action="store_true")

@@ -680,14 +680,6 @@ class GaussianAugmented:
             float(np.max(np.abs(h - h0))) if n else 0.0,
         )
 
-    def factorization_ok(self) -> bool:
-        for comp in self.components:
-            try:
-                np.linalg.cholesky(comp.J + 0.0)
-            except np.linalg.LinAlgError:
-                return False
-        return True
-
 
 def split_potentials(model, rmap: ReplicationMap):
     """Uniform consistent split of potentials over replicas."""

@@ -183,12 +183,11 @@ class DiscreteRelaxation:
         }
 
     def _sweep(self, tau: float | None) -> float:
-        worst = 0.0
+        resids = []
         for cls in self.classes:
             tabs = self._class_tables(cls.rids, tau)
             fbar = sum(tabs.values()) / len(cls.rids)
-            resid = max(float(np.max(np.abs(tabs[r] - fbar))) for r in cls.rids)
-            worst = max(worst, resid)
+            resids += [np.max(np.abs(tabs[r] - fbar)) for r in cls.rids]
             if len(cls.groups) == 1:
                 for rid in cls.rids:
                     self.engine_of_rid[rid].add_to_table(rid, fbar - tabs[rid])
@@ -198,12 +197,13 @@ class DiscreteRelaxation:
                     gbar = sum(gtabs.values()) / len(group)
                     for rid in group:
                         self.engine_of_rid[rid].add_to_table(rid, gbar - gtabs[rid])
-        return worst
+        return float(np.max(resids, initial=0.0))
 
     def sweep_log_marginal_averaging(self, tau: float) -> float:
         """One class-ordered pass of tempered marginal matching.
 
-        Returns the largest pre-update disagreement max|f_hat - f_bar|.
+        Returns the largest pre-update disagreement max|f_hat - f_bar|,
+        NaN when any table is NaN.
         """
         return self._sweep(tau)
 
@@ -386,7 +386,8 @@ def solve_discrete(
     est = relax.extract_estimate(tie_tol)
     best_primal = max(best_primal, est.best_primal)
     g_final = relax.dual_value()
-    gap_flag = (g_final - best_primal) > gap_tol * (1 + abs(g_final))
+    # Written so that a NaN dual or primal counts as a gap.
+    gap_flag = not (g_final - best_primal <= gap_tol * (1 + abs(g_final)))
     messages = sum(eng.messages_computed for eng in relax.engines)
     notes = list(relax.rmap.notes) + [f"messages computed: {messages}"]
     return SolveReport(

@@ -24,6 +24,7 @@ from .decomposition import (
     update_groups,
 )
 from .inference import (
+    factor_active,
     gaussian_component_mean,
     gaussian_component_value,
     gaussian_marginal_info,
@@ -76,24 +77,21 @@ class MomentMatcher:
             comp.h[locs] += hbar - h
 
     def sweep(self) -> float:
-        """One pass over all classes; returns the peak pre-update disagreement."""
-        worst = 0.0
+        """One pass over all classes; returns the peak pre-update disagreement
+        (NaN when any marginal is NaN)."""
+        resids = []
         for cls in self.classes:
             infos = self._member_infos(cls, range(len(cls.members)))
             Jbar = sum(J for J, _ in infos) / len(infos)
             hbar = sum(h for _, h in infos) / len(infos)
             for J, h in infos:
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(J - Jbar))),
-                    float(np.max(np.abs(h - hbar))),
-                )
+                resids += [np.max(np.abs(J - Jbar)), np.max(np.abs(h - hbar))]
             if len(cls.groups) == 1:
                 self._apply(cls, cls.groups[0], infos)
             else:
                 for group in cls.groups:
                     self._apply(cls, group, self._member_infos(cls, group))
-        return worst
+        return float(np.max(resids, initial=0.0))
 
     def dual_value(self) -> float:
         return float(
@@ -113,12 +111,28 @@ class MomentMatcher:
         return out
 
     def factorization_ok(self) -> bool:
-        for c in self.components:
-            try:
-                np.linalg.cholesky(c.J)
-            except np.linalg.LinAlgError:
-                return False
+        try:
+            for c in self.components:
+                factor_active(c.J, c.h)
+        except NotPositiveDefiniteError:
+            return False
         return True
+
+
+def replica_average(rmap, components, values):
+    """Per original vertex of `rmap`: the mean of its replicas' entries in
+    `values` (one vector per component) and their spread, max - min."""
+    per_aug = np.empty(rmap.n_aug)
+    for comp, vals in zip(components, values):
+        per_aug[comp.vertices] = vals
+    origin = rmap.vertex_origin
+    n = rmap.n_orig
+    mean = np.bincount(origin, weights=per_aug, minlength=n) / np.bincount(origin, minlength=n)
+    hi = np.full(n, -np.inf)
+    lo = np.full(n, np.inf)
+    np.maximum.at(hi, origin, per_aug)
+    np.minimum.at(lo, origin, per_aug)
+    return mean, hi - lo
 
 
 def hyperedge_agreement_classes(rmap, comps) -> list[GaussClass]:
@@ -165,16 +179,23 @@ def block_agreement_classes(rmap, comps) -> list[GaussClass]:
     return classes
 
 
+def build_matcher(rmap, components) -> MomentMatcher:
+    """Moment matcher over the block classes of `rmap` when it has them,
+    else over its hyperedge classes."""
+    if rmap.block_classes:
+        classes = block_agreement_classes(rmap, components)
+    else:
+        classes = hyperedge_agreement_classes(rmap, components)
+    return MomentMatcher(components, classes)
+
+
 class GaussianRelaxation:
     """Augmented Gaussian model plus its agreement classes."""
 
     def __init__(self, aug: GaussianAugmented):
         self.aug = aug
         self.rmap = aug.rmap
-        classes = block_agreement_classes(aug.rmap, aug.components) if aug.rmap.block_classes else []
-        if not classes:
-            classes = hyperedge_agreement_classes(aug.rmap, aug.components)
-        self.matcher = MomentMatcher(aug.components, classes)
+        self.matcher = build_matcher(aug.rmap, aug.components)
 
     @property
     def classes(self) -> list[GaussClass]:
@@ -186,75 +207,34 @@ class GaussianRelaxation:
     def dual_value(self) -> float:
         return self.matcher.dual_value()
 
+    def _average(self, values):
+        return replica_average(self.rmap, self.aug.components, values)
+
     def node_stats(self):
         """Per original node: averaged mean, averaged variance, and the
         largest cross-replica spread of each."""
-        rmap = self.rmap
-        means = self.matcher.component_means()
-        cov = self.matcher.component_cov_diag()
-        comps = self.aug.components
-        comp_of = rmap.component_of_vertex
-        n = rmap.n_orig
-        mean = np.zeros(n)
-        var = np.zeros(n)
-        mean_spread = 0.0
-        var_spread = 0.0
-        for v in range(n):
-            reps = rmap.vertex_replicas[v]
-            vals_m, vals_v = [], []
-            for v_aug in reps:
-                ci = int(comp_of[v_aug])
-                loc = comps[ci].local[v_aug]
-                vals_m.append(means[ci][loc])
-                vals_v.append(cov[ci][loc])
-            mean[v] = np.mean(vals_m)
-            var[v] = np.mean(vals_v)
-            if len(reps) > 1:
-                mean_spread = max(mean_spread, float(np.ptp(vals_m)))
-                var_spread = max(var_spread, float(np.ptp(vals_v)))
-        return mean, var, mean_spread, var_spread
+        mean, mean_spread = self._average(self.matcher.component_means())
+        var, var_spread = self._average(self.matcher.component_cov_diag())
+        return mean, var, float(np.max(mean_spread)), float(np.max(var_spread))
 
     def node_means(self) -> np.ndarray:
         """Replica-averaged means only (no covariance work)."""
-        rmap = self.rmap
-        means = self.matcher.component_means()
-        comps = self.aug.components
-        out = np.zeros(rmap.n_orig)
-        for v in range(rmap.n_orig):
-            vals = []
-            for v_aug in rmap.vertex_replicas[v]:
-                ci = int(rmap.component_of_vertex[v_aug])
-                vals.append(means[ci][comps[ci].local[v_aug]])
-            out[v] = np.mean(vals)
-        return out
+        return self._average(self.matcher.component_means())[0]
 
     def node_variance_bounds(self):
         """Loose bound 1/Jbar_v per node; tighter 1/(r Jbar_v) when every
-        replica sits in its own component."""
-        rmap = self.rmap
-        comps = self.aug.components
-        n = rmap.n_orig
-        loose = np.zeros(n)
-        tight = np.zeros(n)
-        for v in range(n):
-            reps = rmap.vertex_replicas[v]
-            precs = []
-            comp_ids = []
-            for v_aug in reps:
-                ci = int(rmap.component_of_vertex[v_aug])
-                comp_ids.append(ci)
-                comp = comps[ci]
-                Jm, _ = gaussian_marginal_info(
-                    comp.J, comp.h, [comp.local[v_aug]]
-                )
-                precs.append(float(Jm[0, 0]))
-            jbar = float(np.mean(precs))
-            loose[v] = 1.0 / jbar
-            r = len(reps)
-            if len(set(comp_ids)) == r:
-                tight[v] = 1.0 / (r * jbar)
-            else:
-                tight[v] = loose[v]
+        replica sits in its own component.
+
+        Jbar_v averages the replicas' marginal precisions 1/Sigma_vv.
+        """
+        precs = [1.0 / d for d in self.matcher.component_cov_diag()]
+        jbar, _ = self._average(precs)
+        loose = 1.0 / jbar
+        comp_of = self.rmap.component_of_vertex
+        tight = loose.copy()
+        for v, reps in enumerate(self.rmap.vertex_replicas):
+            if len(set(comp_of[reps])) == len(reps):
+                tight[v] = 1.0 / (len(reps) * jbar[v])
         return loose, tight
 
     def class_variance_bounds(self):
@@ -342,18 +322,6 @@ def build_gaussian_relaxation(
     rmap = add_intermediaries(rmap)
     aug = split_potentials(model, rmap)
     return GaussianRelaxation(aug)
-
-
-def gaussian_dual_value(relax: GaussianRelaxation) -> float:
-    return relax.dual_value()
-
-
-def sweep_moment_matching(relax: GaussianRelaxation) -> float:
-    return relax.sweep_moment_matching()
-
-
-def variance_bounds(relax: GaussianRelaxation):
-    return relax.node_variance_bounds()
 
 
 def solve_gaussian(

@@ -1,13 +1,20 @@
 """Exact inference on thin components: tempered marginals, max-marginals,
 decoding with tie detection, and Gaussian marginal information forms.
 
-Each component gets a junction tree from greedy min-fill elimination.
-Messages are cached per directed tree edge and recomputed lazily, so a
-potential update followed by a query only recomputes messages on the
-directed path between the touched clique and the queried one.
+Each discrete component gets a junction tree from greedy min-fill
+elimination. Messages are cached per directed tree edge and recomputed
+lazily, so a potential update followed by a query only recomputes messages
+on the directed path between the touched clique and the queried one.
+
+Gaussian components are dense: a marginal information form is one Schur
+complement through a Cholesky factor of the eliminated block. Means,
+values and positive-definiteness checks all factor a component's active
+block through `factor_active`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -393,44 +400,72 @@ def build_engines(aug) -> list[SubgraphEngine]:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian marginalization by symmetric elimination
+# Gaussian marginalization by dense Schur complements
 
+# Not a cut-over: every component takes the dense path below. The
+# benchmark's tracer (perfbench/tracer.py) reads this size to count Schur
+# complements on wide components (`inference.schur_wide_calls`).
 DENSE_LIMIT = 64
 
 
-def _active_mask(J: np.ndarray, h: np.ndarray) -> np.ndarray:
-    coupled = np.abs(J).sum(axis=0) > 0
-    loaded = h != 0
-    bad = loaded & ~coupled
-    if np.any(bad):
-        raise NotPositiveDefiniteError(
-            f"improper component: potential on unconstrained variable {np.where(bad)[0][0]}"
-        )
-    return coupled
+def factor_active(J, h, subset=None):
+    """Cholesky factor of the active block of a component's information form.
+
+    A variable is active when its row of J has a nonzero entry; inactive
+    rows occur on summary scales before their first cross-scale update.
+    Returns the active indices (within `subset` when given) and their
+    lower factor in `cho_solve` form, or None when no index is active.
+    Raises NotPositiveDefiniteError for a potential on an uncoupled
+    variable and for an active block that is not positive definite or not
+    finite.
+    """
+    coupled = J.any(axis=0)
+    if not coupled.all():
+        bad = (h != 0) & ~coupled
+        if bad.any():
+            raise NotPositiveDefiniteError(
+                f"improper component: potential on unconstrained variable {np.flatnonzero(bad)[0]}"
+            )
+    if subset is None:
+        idx = np.flatnonzero(coupled)
+    else:
+        idx = np.asarray(subset, dtype=int)
+        idx = idx[coupled[idx]]
+    if not idx.size:
+        return idx, None
+    block = J if subset is None and idx.size == J.shape[0] else J[np.ix_(idx, idx)]
+    try:
+        L = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"active block not PD: {exc}") from exc
+    # LAPACK may pass NaN through without failing; it reaches the diagonal.
+    if not math.isfinite(L.trace()):
+        raise NotPositiveDefiniteError("active block is not finite")
+    return idx, (L, True)
 
 
-def _schur_dense(J, h, keep, elim=None):
-    n = J.shape[0]
-    keep = list(keep)
+def gaussian_marginal_info(J, h, keep, elim=None):
+    """Marginal information form of `keep` after eliminating the rest.
+
+    One dense Schur complement: a Cholesky factor of the eliminated block
+    (`elim`, default every index outside `keep`) gives the corrections to
+    J[keep, keep] and h[keep]. A block that fails to factor is retried
+    without its inactive variables.
+    """
+    J = np.asarray(J, dtype=float)
+    h = np.asarray(h, dtype=float)
+    keep = [int(k) for k in keep]
     if elim is None:
         kept = set(keep)
-        elim = [i for i in range(n) if i not in kept]
+        elim = [i for i in range(J.shape[0]) if i not in kept]
     if len(elim) == 0:
         return J[np.ix_(keep, keep)].copy(), h[keep].copy()
-    Jcc = J[np.ix_(elim, elim)]
     try:
-        chol = cho_factor(Jcc, check_finite=False)
+        chol = cho_factor(J[np.ix_(elim, elim)], check_finite=False)
     except np.linalg.LinAlgError:
-        # Retry without inactive variables (all-zero rows occur on summary
-        # scales before their first cross-scale update).
-        active = _active_mask(J, h)
-        elim = [i for i in elim if active[i]]
-        if not elim:
+        elim, chol = factor_active(J, h, elim)
+        if chol is None:
             return J[np.ix_(keep, keep)].copy(), h[keep].copy()
-        try:
-            chol = cho_factor(J[np.ix_(elim, elim)], check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"elimination block not PD: {exc}") from exc
     Jce = J[np.ix_(elim, keep)]
     rhs = np.concatenate([Jce, h[elim][:, None]], axis=1)
     sol = cho_solve(chol, rhs, check_finite=False)
@@ -439,82 +474,11 @@ def _schur_dense(J, h, keep, elim=None):
     return 0.5 * (Jm + Jm.T), hm
 
 
-def _schur_sparse(J, h, keep, order=None):
-    n = J.shape[0]
-    keepset = set(keep)
-    active = _active_mask(J, h)
-    rows = {}
-    hv = {}
-    for i in range(n):
-        nz = np.nonzero(J[i])[0]
-        rows[i] = {int(j): float(J[i, j]) for j in nz}
-        hv[i] = float(h[i])
-    elim = [i for i in range(n) if i not in keepset and active[i]]
-    if order is None:
-        nbrs = [set(rows[i]) - {i} if i in elim else set() for i in range(n)]
-        for i in elim:
-            nbrs[i] &= set(elim)
-        sub = {v: k for k, v in enumerate(elim)}
-        local_nbrs = [set(sub[j] for j in nbrs[v] if j in sub) for v in elim]
-        local_order, _ = min_fill_order(local_nbrs)
-        order = [elim[k] for k in local_order]
-    else:
-        order = [v for v in order if v in set(elim)]
-    for v in order:
-        d = rows[v].pop(v, 0.0)
-        if d <= 0.0:
-            raise NotPositiveDefiniteError(f"nonpositive pivot {d} at variable {v}")
-        nb = list(rows[v].items())
-        hval = hv[v]
-        for j, Jvj in nb:
-            rows[j].pop(v, None)
-            hv[j] -= Jvj * hval / d
-            for k, Jvk in nb:
-                if k < j:
-                    continue
-                upd = Jvj * Jvk / d
-                rows[j][k] = rows[j].get(k, 0.0) - upd
-                if k != j:
-                    rows[k][j] = rows[k].get(j, 0.0) - upd
-        rows[v] = {}
-    kk = len(keep)
-    Jm = np.zeros((kk, kk))
-    hm = np.zeros(kk)
-    pos = {v: i for i, v in enumerate(keep)}
-    for v in keep:
-        hm[pos[v]] = hv[v]
-        for j, val in rows[v].items():
-            if j in pos:
-                Jm[pos[v], pos[j]] = val
-    return 0.5 * (Jm + Jm.T), hm
-
-
-def gaussian_marginal_info(J, h, keep, order=None, dense_limit=DENSE_LIMIT, elim=None):
-    """Marginal information form of `keep` after eliminating the rest.
-
-    Dense Schur complement for small components, sparse symmetric
-    elimination (along `order` when given) above `dense_limit` variables.
-    """
-    J = np.asarray(J, dtype=float)
-    h = np.asarray(h, dtype=float)
-    keep = [int(k) for k in keep]
-    if J.shape[0] - len(keep) <= 0:
-        return J[np.ix_(keep, keep)].copy(), h[keep].copy()
-    if J.shape[0] < dense_limit:
-        return _schur_dense(J, h, keep, elim=elim)
-    return _schur_sparse(J, h, keep, order=order)
-
-
 def gaussian_component_mean(J, h):
-    active = _active_mask(J, h)
+    idx, chol = factor_active(J, h)
     mean = np.zeros(J.shape[0])
-    idx = np.where(active)[0]
-    if idx.size:
-        try:
-            chol = cho_factor(J[np.ix_(idx, idx)])
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
-        mean[idx] = cho_solve(chol, h[idx])
+    if chol is not None:
+        mean[idx] = cho_solve(chol, h[idx], check_finite=False)
     return mean
 
 

@@ -92,11 +92,11 @@ class DiscreteFactorModel:
     coefficients: dict[tuple[int, ...], float]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coefficients",
-            {canonical_edge(e): float(t) for e, t in self.coefficients.items()},
-        )
+        coeffs = {canonical_edge(e): float(t) for e, t in self.coefficients.items()}
+        bad = [e for e, t in coeffs.items() if not np.isfinite(t)]
+        if bad:
+            raise ModelError(f"non-finite coefficient on {bad[0]}")
+        object.__setattr__(self, "coefficients", coeffs)
 
     def theta(self, edge) -> float:
         return self.coefficients.get(canonical_edge(edge), 0.0)
@@ -119,6 +119,8 @@ class CliqueTerm:
         k = len(v)
         J = np.asarray(self.J, dtype=float).reshape(k, k)
         h = np.asarray(self.h, dtype=float).reshape(k)
+        if not (np.all(np.isfinite(J)) and np.all(np.isfinite(h))):
+            raise ModelError(f"clique {v}: non-finite J or h")
         if not np.allclose(J, J.T, atol=1e-12):
             raise ModelError(f"clique {v}: J not symmetric")
         object.__setattr__(self, "vertices", v)
@@ -197,7 +199,8 @@ def evaluate_objective(model, x) -> float:
 
 
 def validate_model(model) -> ModelDiagnostics:
-    """Non-raising sanity report; construction is deliberately lenient."""
+    """Non-raising sanity report; construction checks only structure and
+    finiteness."""
     issues: list[str] = []
     if isinstance(model, DiscreteFactorModel):
         edges = set(model.graph.hyperedges)
@@ -206,9 +209,6 @@ def validate_model(model) -> ModelDiagnostics:
             issues.append(f"coefficient key {k} is not a graph hyperedge")
         for k in sorted(edges - keys):
             issues.append(f"hyperedge {k} has no coefficient")
-        for k, t in model.coefficients.items():
-            if not np.isfinite(t):
-                issues.append(f"non-finite coefficient on {k}")
         return ModelDiagnostics(ok=not issues, issues=issues)
 
     if isinstance(model, GaussianInfoModel):

@@ -25,7 +25,8 @@ from .decomposition import (
     build_decomposition,
     split_potentials,
 )
-from .gaussian import MomentMatcher, block_agreement_classes, hyperedge_agreement_classes
+from .gaussian import MomentMatcher, build_matcher, replica_average
+from .inference import factor_active
 from .models import (
     GaussianInfoModel,
     Hypergraph,
@@ -104,13 +105,6 @@ def _zero_components(rmap) -> list[GaussianComponent]:
     ]
 
 
-def _make_matcher(rmap, components) -> MomentMatcher:
-    classes = block_agreement_classes(rmap, components) if rmap.block_classes else []
-    if not classes:
-        classes = hyperedge_agreement_classes(rmap, components)
-    return MomentMatcher(components, classes)
-
-
 def build_multiscale(
     model: GaussianInfoModel, levels: int, block: int = 2
 ) -> MultiscaleModel:
@@ -131,12 +125,12 @@ def build_multiscale(
     scales: list[ScaleState] = []
     rmap0 = _scale_decomposition(model.graph, block)
     aug0 = split_potentials(model, rmap0)
-    scales.append(ScaleState(model.n, rmap0, _make_matcher(rmap0, aug0.components)))
+    scales.append(ScaleState(model.n, rmap0, build_matcher(rmap0, aug0.components)))
     for s in range(1, levels):
         g = _chain_graph(sizes[s])
         rmap = _scale_decomposition(g, block)
         comps = _zero_components(rmap)
-        scales.append(ScaleState(sizes[s], rmap, _make_matcher(rmap, comps)))
+        scales.append(ScaleState(sizes[s], rmap, build_matcher(rmap, comps)))
 
     links: list[list[CrossLink]] = []
     for s in range(levels - 1):
@@ -221,7 +215,7 @@ def cross_scale_update(ms: MultiscaleModel, link: CrossLink) -> float:
     J2, h2 = coarse.marginal(link.coarse_comp, link.coarse_locs)
     A = link.A
     Lam, lam = summary_multipliers(A, J1, h1, J2, h2)
-    resid = max(float(np.max(np.abs(Lam))), float(np.max(np.abs(lam))))
+    resid = float(np.maximum(np.max(np.abs(Lam)), np.max(np.abs(lam))))
 
     fcomp = fine.components[link.fine_comp]
     ccomp = coarse.components[link.coarse_comp]
@@ -234,28 +228,20 @@ def cross_scale_update(ms: MultiscaleModel, link: CrossLink) -> float:
         ccomp.h[clocs] += dhc
         fcomp.J[np.ix_(locs, locs)] -= dJf
         fcomp.h[locs] -= dhf
-        if _pd_ok(fcomp) and _pd_ok(ccomp):
-            return resid
-        ccomp.J[np.ix_(clocs, clocs)] -= dJc
-        ccomp.h[clocs] -= dhc
-        fcomp.J[np.ix_(locs, locs)] += dJf
-        fcomp.h[locs] += dhf
+        try:
+            factor_active(fcomp.J, fcomp.h)
+            factor_active(ccomp.J, ccomp.h)
+        except NotPositiveDefiniteError:
+            ccomp.J[np.ix_(clocs, clocs)] -= dJc
+            ccomp.h[clocs] -= dhc
+            fcomp.J[np.ix_(locs, locs)] += dJf
+            fcomp.h[locs] += dhf
+            continue
+        return resid
     raise NotPositiveDefiniteError(
         f"cross-scale update at scale {link.fine_scale}, variables "
         f"{link.coarse_vars} lost positive definiteness even after damping"
     )
-
-
-def _pd_ok(comp: GaussianComponent) -> bool:
-    if not comp.J.any():
-        return True  # untouched summary component
-    active = np.abs(comp.J).sum(axis=0) > 0
-    idx = np.where(active)[0]
-    try:
-        np.linalg.cholesky(comp.J[np.ix_(idx, idx)])
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 @dataclass
@@ -303,17 +289,9 @@ class MultiscaleSolveReport:
 
 
 def fine_scale_means(ms: MultiscaleModel) -> np.ndarray:
-    scale = ms.scales[0]
-    means = scale.matcher.component_means()
-    rmap = scale.rmap
-    out = np.zeros(ms.base.n)
-    for v in range(ms.base.n):
-        vals = []
-        for v_aug in rmap.vertex_replicas[v]:
-            ci = int(rmap.component_of_vertex[v_aug])
-            vals.append(means[ci][scale.matcher.components[ci].local[v_aug]])
-        out[v] = np.mean(vals)
-    return out
+    matcher = ms.scales[0].matcher
+    means, _ = replica_average(ms.scales[0].rmap, matcher.components, matcher.component_means())
+    return means
 
 
 def solve_multiscale(
@@ -338,18 +316,17 @@ def solve_multiscale(
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        resid = 0.0
+        resids = []
         # Downstroke: smooth each scale, then push its summaries upward.
         for s in range(ms.levels - 1):
-            resid = max(resid, ms.scales[s].matcher.sweep())
-            for link in ms.links[s]:
-                resid = max(resid, cross_scale_update(ms, link))
-        resid = max(resid, ms.scales[-1].matcher.sweep())
+            resids.append(ms.scales[s].matcher.sweep())
+            resids += [cross_scale_update(ms, link) for link in ms.links[s]]
+        resids.append(ms.scales[-1].matcher.sweep())
         # Upstroke: pull summaries downward, then smooth again.
         for s in reversed(range(ms.levels - 1)):
-            for link in ms.links[s]:
-                resid = max(resid, cross_scale_update(ms, link))
-            resid = max(resid, ms.scales[s].matcher.sweep())
+            resids += [cross_scale_update(ms, link) for link in ms.links[s]]
+            resids.append(ms.scales[s].matcher.sweep())
+        resid = float(np.max(resids))
         mean_err = np.nan
         if reference is not None:
             mean_err = float(np.max(np.abs(fine_scale_means(ms) - reference)))

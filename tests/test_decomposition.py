@@ -15,6 +15,7 @@ from lagrelax.decomposition import (
     update_groups,
 )
 from lagrelax.generators import generate_ising_grid, generate_thin_membrane
+from lagrelax.inference import factor_active
 from lagrelax.models import (
     DiscreteFactorModel,
     Hypergraph,
@@ -166,7 +167,9 @@ def test_gaussian_split_pd_and_consistent():
     aug = split_potentials(gm, rmap)
     dJ, dh = aug.consistency_residual()
     assert dJ < 1e-12 and dh < 1e-12
-    assert aug.factorization_ok()
+    for comp in aug.components:
+        active, _ = factor_active(comp.J, comp.h)  # raises unless PD
+        assert active.size == comp.size
 
 
 def test_identity_map_lift_is_identity():

@@ -332,6 +332,29 @@ def adversarial_init(relax, seed=4, scale=2.0):
             relax.engine_of_rid[r].add_to_table(r, d - mean)
 
 
+def test_nan_table_yields_no_certificate(monkeypatch):
+    # A NaN that reaches a replica table (the model itself rejects NaN) must
+    # surface as a NaN residual, an unconverged solve and a gap.
+    import lagrelax.discrete as discrete
+
+    def build_with_nan(model, config=None, **kwargs):
+        relax = build_relaxation(model, config, **kwargs)
+        relax.engine_of_rid[0].add_to_table(0, np.full_like(relax.aug.tables[0], np.nan))
+        return relax
+
+    model = generate_ising_grid(3, 1.0, "attractive", seed=0)
+    relax = build_with_nan(model, "disjoint-edges")
+    assert np.isnan(relax.sweep_log_marginal_averaging(1.0))
+    assert np.isnan(relax.sweep_max_marginal_averaging())
+
+    monkeypatch.setattr(discrete, "build_relaxation", build_with_nan)
+    schedule = TemperatureSchedule(tau0=1.0, tau_min=0.5, max_sweeps_per_tau=3)
+    rep = solve_discrete(model, "disjoint-edges", schedule)
+    assert np.isnan(rep.final_dual)
+    assert rep.gap_flag
+    assert not rep.converged
+
+
 def test_annealing_escapes_spurious_max_marginal_fixed_point():
     m = spurious_instance()
     relax = build_relaxation(m, "disjoint-edges")

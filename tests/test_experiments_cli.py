@@ -93,7 +93,6 @@ class TestCli:
                 "--decay", "0.5",
                 "--tau-min", "1e-3",
                 "--tol", "1e-6",
-                "--seed", "7",
                 "--out", str(out),
                 "--trace", str(trace),
             ]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lagrelax.gaussian as gaussian
 from lagrelax.decomposition import DecompositionConfig, GaussianComponent
 from lagrelax.gaussian import (
     GaussClass,
@@ -8,7 +9,8 @@ from lagrelax.gaussian import (
     build_gaussian_relaxation,
     solve_gaussian,
 )
-from lagrelax.models import GaussianInfoModel
+from lagrelax.inference import gaussian_marginal_info
+from lagrelax.models import GaussianInfoModel, NotPositiveDefiniteError
 from lagrelax.generators import (
     generate_chain_membrane,
     generate_thin_membrane,
@@ -56,6 +58,31 @@ class TestSweep:
         assert resid == pytest.approx(0.5)
         assert m.components[0].J[0, 0] == pytest.approx(1.5)
         assert m.components[1].J[0, 0] == pytest.approx(1.5)
+
+    def test_nan_marginal_gives_nan_residual(self):
+        m = matcher_of_two_singletons(1.0, 2.0)
+        m.components[0].J[0, 0] = np.nan
+        assert np.isnan(m.sweep())
+        assert not m.factorization_ok()
+
+    def test_nan_component_yields_no_report(self, monkeypatch):
+        # A NaN in a component's J (models reject NaN at construction) must
+        # not come back as a converged solve: the sweep or the per-sweep
+        # factorization check rejects it.
+        def build_with_nan(model, config=None, **kwargs):
+            relax = build_gaussian_relaxation(model, config, **kwargs)
+            cls = relax.classes[0]
+            ci, locs, _ = cls.members[0]
+            relax.aug.components[ci].J[locs[0], locs[0]] = np.nan
+            return relax
+
+        gm = generate_thin_membrane(4, 0.05, seed=5)
+        cfg = DecompositionConfig(
+            strategy="thin-strips", rows=4, cols=4, strip_width=2, overlap=1
+        )
+        monkeypatch.setattr(gaussian, "build_gaussian_relaxation", build_with_nan)
+        with pytest.raises(NotPositiveDefiniteError):
+            solve_gaussian(gm, cfg, tol=1e-8, max_iters=5)
 
     def test_deltas_sum_to_zero(self):
         m = matcher_of_two_singletons(1.0, 3.0, h0=0.5, h1=-0.5)
@@ -153,6 +180,36 @@ class TestVarianceBounds:
         assert rep.converged
         _, var, _ = exact_gaussian_solve(gm)
         assert np.all(rep.variance_bound >= var - 1e-9)
+
+    @pytest.mark.parametrize("strategy", ["thin-strips", "disjoint-edges"])
+    def test_bounds_match_per_replica_schur(self, strategy):
+        # 1/Sigma_vv from the component covariance equals the marginal
+        # precision that a Schur complement onto each replica gives.
+        gm = generate_thin_membrane(5, 0.05, seed=4)
+        cfg = DecompositionConfig(
+            strategy=strategy, rows=5, cols=5, strip_width=3, overlap=2
+        )
+        relax = build_gaussian_relaxation(gm, cfg)
+        for _ in range(10):
+            relax.sweep_moment_matching()
+        rmap, comps = relax.rmap, relax.aug.components
+        loose_ref = np.zeros(rmap.n_orig)
+        tight_ref = np.zeros(rmap.n_orig)
+        for v, reps in enumerate(rmap.vertex_replicas):
+            precs, comp_ids = [], []
+            for v_aug in reps:
+                ci = int(rmap.component_of_vertex[v_aug])
+                comp = comps[ci]
+                Jm, _ = gaussian_marginal_info(comp.J, comp.h, [comp.local[v_aug]])
+                precs.append(float(Jm[0, 0]))
+                comp_ids.append(ci)
+            jbar = float(np.mean(precs))
+            loose_ref[v] = 1.0 / jbar
+            distinct = len(set(comp_ids)) == len(reps)
+            tight_ref[v] = 1.0 / (len(reps) * jbar) if distinct else loose_ref[v]
+        loose, tight = relax.node_variance_bounds()
+        np.testing.assert_allclose(loose, loose_ref, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(tight, tight_ref, rtol=1e-10, atol=0)
 
     def test_tight_bound_below_loose(self):
         gm = generate_thin_membrane(5, 0.05, seed=4)

@@ -13,8 +13,6 @@ from lagrelax.inference import (
     max_marginals,
     min_fill_order,
     tempered_marginals,
-    _schur_dense,
-    _schur_sparse,
 )
 from lagrelax.models import (
     DiscreteFactorModel,
@@ -257,27 +255,31 @@ class TestGaussianMarginalInfo:
         assert np.max(np.abs(J2 - Jd)) < 1e-10
         assert np.max(np.abs(h2 - hd)) < 1e-10
 
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_sparse_equals_dense(self, seed):
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([5, 40, 63, 64, 66, 100]),
+    )
+    def test_matches_covariance_reference(self, seed, n):
+        # Small and wide (64 or more variables) chains against an
+        # independent reference that marginalizes the covariance.
         rng = np.random.default_rng(seed)
-        n = 12
         J = np.zeros((n, n))
         for v in range(n - 1):
             J[v, v + 1] = J[v + 1, v] = rng.normal()
         np.fill_diagonal(J, np.abs(J).sum(axis=1) + rng.uniform(0.5, 1.5, n))
         h = rng.normal(size=n)
-        keep = [0, 5, 11]
-        Jd, hd = _schur_dense(J, h, keep)
-        Js, hs = _schur_sparse(J, h, keep)
-        assert np.max(np.abs(Jd - Js)) < 1e-10
-        assert np.max(np.abs(hd - hs)) < 1e-10
+        keep = sorted(rng.choice(n, size=int(rng.integers(1, 5)), replace=False))
+        cov = np.linalg.inv(J)
+        J_ref = np.linalg.inv(cov[np.ix_(keep, keep)])
+        h_ref = J_ref @ (cov @ h)[keep]
+        Jm, hm = gaussian_marginal_info(J, h, keep)
+        assert np.max(np.abs(Jm - J_ref)) < 1e-10 * np.max(np.abs(J_ref))
+        assert np.max(np.abs(hm - h_ref)) < 1e-10 * (1 + np.max(np.abs(h_ref)))
 
     def test_not_pd_elimination_block_raises(self):
         J = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, -1.0]])
         with pytest.raises(NotPositiveDefiniteError):
             gaussian_marginal_info(J, np.zeros(3), [0])
-        with pytest.raises(NotPositiveDefiniteError):
-            _schur_sparse(J, np.zeros(3), [0])
 
     def test_inactive_variables_are_skipped(self):
         J = np.diag([2.0, 0.0, 3.0])

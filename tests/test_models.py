@@ -109,6 +109,19 @@ def test_gaussian_aggregate_reconstruction():
         np.linalg.cholesky(t.J)  # must not raise
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["coefficient", "J", "h"])
+def test_non_finite_input_rejected(where, bad):
+    with pytest.raises(ModelError, match="non-finite"):
+        if where == "coefficient":
+            coeffs = {(0,): bad, (1,): 0.5, (0, 1): 1.0}
+            DiscreteFactorModel(Hypergraph(2, tuple(coeffs)), coeffs)
+        elif where == "J":
+            CliqueTerm((0, 1), np.array([[2.0, bad], [bad, 2.0]]), np.zeros(2))
+        else:
+            CliqueTerm((0, 1), 2.0 * np.eye(2), np.array([0.3, bad]))
+
+
 def test_clique_term_requires_symmetry():
     with pytest.raises(ModelError):
         CliqueTerm((0, 1), np.array([[1.0, 0.5], [0.2, 1.0]]), np.zeros(2))
