@@ -59,7 +59,8 @@ def _cmd_solve(args) -> int:
     report = solve_discrete(model, config, schedule)
     print(
         f"g = {report.final_dual:.10g}  best f = {report.best_primal:.10g}  "
-        f"gap_flag = {report.gap_flag}  ties = {len(report.tie_nodes)}"
+        f"gap_flag = {report.gap_flag}  ties = {len(report.tie_nodes)}  "
+        f"stop = {report.stop_reason}"
     )
     if args.out:
         report.write_json(args.out)

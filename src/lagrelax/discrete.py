@@ -9,6 +9,7 @@ which is exactly a move in the multipliers.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -51,6 +52,8 @@ class TemperatureSchedule:
             raise ValueError("need tau0 > tau_min > 0")
         if not (0 < self.decay < 1):
             raise ValueError("decay must be in (0, 1)")
+        if self.max_sweeps_per_tau < 1:
+            raise ValueError("max_sweeps_per_tau must be at least 1")
 
     def ladder(self):
         tau = self.tau0
@@ -73,8 +76,20 @@ class TraceEntry:
     wall_ms: float
 
 
+STOP_REASONS = ("certified", "residual", "sweep_cap", "non_finite")
+
+
 @dataclass
 class SolveReport:
+    """Result of `solve_discrete`.
+
+    `estimate` is the decoded labelling whose objective is `best_primal`.
+    `stop_reason` says what ended the last sweep loop, one of STOP_REASONS:
+    the duality certificate, the polish residual reaching the schedule's
+    inner tolerance, the polish's sweep cap, or a non-finite residual or
+    dual value.
+    """
+
     dual_trace: list[TraceEntry]
     final_dual: float
     best_primal: float
@@ -83,6 +98,7 @@ class SolveReport:
     tie_nodes: list[int]
     node_tables: np.ndarray
     strategy: str
+    stop_reason: str
     notes: list[str] = field(default_factory=list)
     wall_ms: float = 0.0
     converged: bool = True
@@ -100,6 +116,7 @@ class SolveReport:
             "notes": list(self.notes),
             "wall_ms": self.wall_ms,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "dual_trace": [asdict(t) for t in self.dual_trace],
         }
 
@@ -127,7 +144,7 @@ class ClassSpec:
 
 @dataclass
 class EstimateResult:
-    estimate: np.ndarray
+    estimate: np.ndarray  # the candidate decode that attains best_primal
     tie_nodes: set[int]
     best_primal: float
     node_tables: np.ndarray
@@ -256,25 +273,27 @@ class DiscreteRelaxation:
         return tables
 
     def extract_estimate(self, tie_tol: float = 1e-6) -> EstimateResult:
-        """Decode from re-summed max-marginals, plus component-consistent decodes."""
+        """The better of two decodes: the argmax of the re-summed
+        max-marginals, and the component maximizers when they project to a
+        consistent labelling (the first wins a tie). Ties and node tables
+        come from the re-summed max-marginals."""
         tables = self.resummed_node_tables()
-        x = LABELS[np.argmax(tables, axis=1)]
         ties = {
             int(v)
             for v in range(tables.shape[0])
             if abs(tables[v, 0] - tables[v, 1]) < tie_tol
         }
-        candidates = [x]
+        candidates = [LABELS[np.argmax(tables, axis=1)]]
         x_aug = np.zeros(self.rmap.n_aug)
         comps = self.rmap.component_vertices()
         for eng, verts in zip(self.engines, comps):
-            assign, _ = eng.map_assignment(tie_tol)
-            x_aug[verts] = assign
+            x_aug[verts] = eng.map_assignment()
         projected, _ = project_assignment(x_aug, self.rmap)
         if projected is not None:
             candidates.append(projected)
-        best = max(evaluate_objective(self.aug.base, c) for c in candidates)
-        return EstimateResult(x, ties, best, tables)
+        values = [evaluate_objective(self.aug.base, c) for c in candidates]
+        k = values.index(max(values))
+        return EstimateResult(candidates[k], ties, values[k], tables)
 
 
 def build_relaxation(
@@ -325,80 +344,84 @@ def solve_discrete(
     *,
     gap_tol: float = 1e-6,
     tie_tol: float = 1e-6,
-    decode_every: int = 1,
     **kwargs,
 ) -> SolveReport:
     """Anneal the smooth dual, polish at zero temperature, extract an estimate.
 
     Runs log-marginal averaging sweeps down the temperature ladder until the
-    class residual drops below the schedule's inner tolerance, finishes with
-    max-marginal averaging sweeps, and reports the dual trace, the decoded
-    estimate with ties, and a duality-gap flag.
+    class residual drops below the schedule's tolerance at each step, then
+    max-marginal averaging sweeps. Every sweep decodes an estimate and
+    evaluates the dual. The solve stops at the first sweep whose dual g is
+    within gap_tol * (1 + |g|) of the best decoded objective: that estimate
+    is then a proven MAP and the dual is optimal to within the same
+    tolerance. It also stops at once on a non-finite residual or dual.
+    Reports the dual trace, the best estimate with the final ties, a
+    duality-gap flag and the stop reason.
     """
     schedule = schedule or TemperatureSchedule()
     relax = build_relaxation(model, strategy, **kwargs)
     strategy_name = strategy if isinstance(strategy, str) else strategy.strategy
 
+    def stop_after(resid: float, g: float, primal: float, tol: float) -> str | None:
+        if not (math.isfinite(resid) and math.isfinite(g)):
+            return "non_finite"
+        # Written so that a NaN primal counts as a gap.
+        if g - primal <= gap_tol * (1 + abs(g)):
+            return "certified"
+        return "residual" if resid < tol else None
+
     t0 = time.perf_counter()
     trace: list[TraceEntry] = []
-    best_primal = -np.inf
-    sweep_no = 0
-    converged = True
-
-    def record(tau_label: float, resid: float):
-        nonlocal best_primal
-        if decode_every and sweep_no % decode_every == 0:
-            est = relax.extract_estimate(tie_tol)
-            best_primal = max(best_primal, est.best_primal)
-        g = relax.dual_value()
-        g_s = relax.smooth_dual_value(tau_label) if tau_label > 0 else g
-        trace.append(
-            TraceEntry(
-                sweep=sweep_no,
-                tau=tau_label,
-                g_smooth=g_s,
-                g=g,
-                best_primal=best_primal,
-                max_residual=resid,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
-
-    for tau in schedule.ladder():
-        tol = schedule.tol_at(tau)
+    best = None  # the decode with the highest objective so far
+    steps = [(tau, schedule.tol_at(tau)) for tau in schedule.ladder()]
+    steps.append((0.0, schedule.inner_tol))
+    capped = False
+    for tau, tol in steps:
         for _ in range(schedule.max_sweeps_per_tau):
-            resid = relax.sweep_log_marginal_averaging(tau)
-            sweep_no += 1
-            record(tau, resid)
-            if resid < tol:
+            if tau > 0:
+                resid = relax.sweep_log_marginal_averaging(tau)
+            else:
+                resid = relax.sweep_max_marginal_averaging()
+            est = relax.extract_estimate(tie_tol)
+            if best is None or est.best_primal > best.best_primal:
+                best = est
+            g = relax.dual_value()
+            trace.append(
+                TraceEntry(
+                    sweep=len(trace) + 1,
+                    tau=tau,
+                    g_smooth=relax.smooth_dual_value(tau) if tau > 0 else g,
+                    g=g,
+                    best_primal=best.best_primal,
+                    max_residual=resid,
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                )
+            )
+            stop_reason = stop_after(resid, g, best.best_primal, tol)
+            if stop_reason:
                 break
         else:
-            converged = False
-    for _ in range(schedule.max_sweeps_per_tau):
-        resid = relax.sweep_max_marginal_averaging()
-        sweep_no += 1
-        record(0.0, resid)
-        if resid < schedule.inner_tol:
+            stop_reason = "sweep_cap"
+            capped = True
+        if stop_reason in ("certified", "non_finite"):
             break
-    else:
-        converged = False
 
-    est = relax.extract_estimate(tie_tol)
-    best_primal = max(best_primal, est.best_primal)
-    g_final = relax.dual_value()
-    # Written so that a NaN dual or primal counts as a gap.
-    gap_flag = not (g_final - best_primal <= gap_tol * (1 + abs(g_final)))
+    # The certificate is tested after every sweep, so a solve that did not
+    # stop on it ends with a gap.
+    gap_flag = stop_reason != "certified"
+    converged = stop_reason == "certified" or (stop_reason == "residual" and not capped)
     messages = sum(eng.messages_computed for eng in relax.engines)
     notes = list(relax.rmap.notes) + [f"messages computed: {messages}"]
     return SolveReport(
         dual_trace=trace,
-        final_dual=g_final,
-        best_primal=best_primal,
+        final_dual=trace[-1].g,
+        best_primal=best.best_primal,
         gap_flag=gap_flag,
-        estimate=est.estimate,
+        estimate=best.estimate,
         tie_nodes=sorted(est.tie_nodes),
         node_tables=est.node_tables,
         strategy=strategy_name,
+        stop_reason=stop_reason,
         notes=notes,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         converged=converged,

@@ -317,8 +317,8 @@ class SubgraphEngine:
     def component_max(self) -> float:
         return float(np.max(self._belief(0, "max", None)))
 
-    def map_assignment(self, tie_tol: float = 1e-6):
-        """One maximizer by max-product backtracking; ties flagged per vertex.
+    def map_assignment(self) -> np.ndarray:
+        """One maximizer by max-product backtracking.
 
         Argmax tie-breaks take the first maximizing index, which prefers +1.
         """
@@ -355,12 +355,16 @@ class SubgraphEngine:
                     for v, i in zip(free, idx):
                         assign[v] = LABELS[i]
                 stack.append(c)
+        return assign
+
+    def tie_vertices(self, tie_tol: float = 1e-6) -> set[int]:
+        """Local vertices whose two max-marginal values differ by < tie_tol."""
         ties = set()
         for v in range(self.n_local):
             t = self.vertex_max_marginal(v)
             if abs(float(t[0] - t[1])) < tie_tol:
                 ties.add(v)
-        return assign, ties
+        return ties
 
 
 def tempered_marginals(engine: SubgraphEngine, tau: float, targets=None):
@@ -377,7 +381,8 @@ def max_marginals(engine: SubgraphEngine, targets=None):
 
 
 def component_map(engine: SubgraphEngine, tie_tol: float = 1e-6):
-    return engine.map_assignment(tie_tol)
+    """One maximizer of the component and its tied vertices."""
+    return engine.map_assignment(), engine.tie_vertices(tie_tol)
 
 
 def build_engines(aug) -> list[SubgraphEngine]:

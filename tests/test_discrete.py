@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lagrelax.decomposition import ReplicationMap, split_potentials
 from lagrelax.discrete import (
+    STOP_REASONS,
     DiscreteRelaxation,
     TemperatureSchedule,
     build_relaxation,
@@ -239,6 +240,25 @@ class TestExtract:
         rep = solve_discrete(triangle(-1.0), "tree-plus-leaves")
         assert rep.tie_nodes == [0, 1, 2]
         assert rep.gap_flag
+        assert rep.stop_reason != "certified"
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # best_primal is set by an early sweep, not by the last one
+            generate_ising_grid(6, 0.7, "frustrated", seed=1),
+            # every re-summed table ties, so its argmax (+1 everywhere)
+            # scores 0; the component maximizers score 2
+            DiscreteFactorModel(
+                Hypergraph(3, ((0,), (1,), (2,), (0, 1), (1, 2))),
+                {(0,): 0.0, (1,): 0.0, (2,): 0.0, (0, 1): 1.0, (1, 2): -1.0},
+            ),
+        ],
+        ids=["frustrated-6x6", "tied-chain"],
+    )
+    def test_estimate_attains_best_primal(self, model):
+        rep = solve_discrete(model, "disjoint-edges")
+        assert evaluate_objective(model, rep.estimate) == rep.best_primal
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_primal_below_dual(self, seed):
@@ -294,6 +314,36 @@ class TestSolve:
             TemperatureSchedule(tau0=1e-4, tau_min=1e-3)
         with pytest.raises(ValueError):
             TemperatureSchedule(decay=1.5)
+        with pytest.raises(ValueError):
+            TemperatureSchedule(max_sweeps_per_tau=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["disjoint-edges", "spanning-trees", "tree-plus-leaves"]),
+    )
+    def test_certificate_and_estimate_properties(self, seed, strategy):
+        m = random_model(seed, n_max=7)
+        f_star, _ = brute_force_map(m)
+        rep = solve_discrete(m, strategy)
+        slack = 1e-9 * (1 + abs(f_star))
+        for t in rep.dual_trace:
+            assert t.g >= f_star - slack
+        assert evaluate_objective(m, rep.estimate) == rep.best_primal
+        assert rep.stop_reason in STOP_REASONS
+        assert (rep.stop_reason == "certified") == (not rep.gap_flag)
+        if not rep.gap_flag:
+            assert rep.best_primal == f_star
+            meets = [t.g - t.best_primal <= 1e-6 * (1 + abs(t.g)) for t in rep.dual_trace]
+            assert meets[-1] and not any(meets[:-1])
+            assert rep.converged
+
+    def test_sweep_cap_is_not_convergence(self):
+        m = generate_ising_grid(3, 1.0, "frustrated", seed=0)
+        sched = TemperatureSchedule(max_sweeps_per_tau=1, inner_tol=1e-12)
+        rep = solve_discrete(m, "disjoint-edges", sched)
+        assert rep.stop_reason == "sweep_cap"
+        assert not rep.converged and rep.gap_flag
 
     def test_report_dict_shape(self):
         m = generate_ising_grid(3, 1.0, "attractive", seed=1)
@@ -307,6 +357,7 @@ class TestSolve:
             "estimate",
             "tie_nodes",
             "dual_trace",
+            "stop_reason",
         }
         assert len(d["estimate"]) == 9
 
@@ -353,6 +404,21 @@ def test_nan_table_yields_no_certificate(monkeypatch):
     assert np.isnan(rep.final_dual)
     assert rep.gap_flag
     assert not rep.converged
+
+
+def test_nan_ends_the_sweeps_at_once(monkeypatch):
+    import lagrelax.discrete as discrete
+
+    def build_with_nan(model, config=None, **kwargs):
+        relax = build_relaxation(model, config, **kwargs)
+        relax.engine_of_rid[0].add_to_table(0, np.full_like(relax.aug.tables[0], np.nan))
+        return relax
+
+    monkeypatch.setattr(discrete, "build_relaxation", build_with_nan)
+    rep = solve_discrete(generate_ising_grid(3, 1.0, "attractive", seed=0), "disjoint-edges")
+    assert rep.stop_reason == "non_finite"
+    assert len(rep.dual_trace) == 1
+    assert rep.gap_flag and not rep.converged
 
 
 def test_annealing_escapes_spurious_max_marginal_fixed_point():

@@ -100,6 +100,8 @@ class TestCli:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["gap_flag"] is False
+        assert report["stop_reason"] == "certified"
+        assert "stop = certified" in capsys.readouterr().out
         header = trace.read_text().splitlines()[0]
         assert header == "sweep,tau,g_smooth,g,best_primal,max_residual,wall_ms"
 
