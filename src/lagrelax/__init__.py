@@ -27,27 +27,13 @@ from .decomposition import (
     project_assignment,
     split_potentials,
 )
-from .inference import (
-    SubgraphEngine,
-    build_engines,
-    component_map,
-    gaussian_marginal_info,
-    max_marginals,
-    min_fill_order,
-    tempered_marginals,
-)
+from .inference import SubgraphEngine, build_engines, gaussian_marginal_info, min_fill_order
 from .discrete import (
     DiscreteRelaxation,
     SolveReport,
     TemperatureSchedule,
     build_relaxation,
-    dual_gradient,
-    dual_value,
-    extract_estimate,
-    smooth_dual_value,
     solve_discrete,
-    sweep_log_marginal_averaging,
-    sweep_max_marginal_averaging,
 )
 from .gaussian import (
     GaussianRelaxation,

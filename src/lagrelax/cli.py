@@ -87,7 +87,7 @@ def _cmd_gsolve(args) -> int:
     report = solve_gaussian(model, config, tol=args.tol, max_iters=args.max_iters)
     print(
         f"dual = {report.dual:.10g}  converged = {report.converged} "
-        f"in {report.iterations} sweeps"
+        f"in {report.iterations} sweeps  stop = {report.stop_reason}"
     )
     if args.out:
         report.write_json(args.out)
@@ -106,7 +106,7 @@ def _cmd_mssolve(args) -> int:
     )
     print(
         f"converged = {report.converged} in {report.iterations} outer iterations "
-        f"({report.levels} levels)"
+        f"({report.levels} levels)  stop = {report.stop_reason}"
     )
     if args.out:
         report.write_json(args.out)

@@ -170,7 +170,7 @@ class ReplicationMap:
                 )
 
     def max_component_treewidth(self) -> int:
-        from .inference import min_fill_order
+        from .inference import min_fill_order, neighbour_sets
 
         widths = [0]
         comps = self.component_vertices()
@@ -179,13 +179,8 @@ class ReplicationMap:
             edges_by_comp[self.replica_component(rid)].append(e)
         for verts, edges in zip(comps, edges_by_comp):
             local = {v: i for i, v in enumerate(verts)}
-            nbrs = [set() for _ in verts]
-            for e in edges:
-                loc = [local[v] for v in e]
-                for a in loc:
-                    nbrs[a].update(b for b in loc if b != a)
-            _, width = min_fill_order(nbrs)
-            widths.append(width)
+            nbrs = neighbour_sets(len(verts), [[local[v] for v in e] for e in edges])
+            widths.append(min_fill_order(nbrs)[1])
         return max(widths)
 
 
@@ -605,6 +600,16 @@ def update_groups(rmap: ReplicationMap, rids) -> list[list[int]]:
     return [[r, hub] for r in rids if r != hub]
 
 
+def replica_classes(rmap: ReplicationMap):
+    """Yield (oid, sorted rids, update groups) for every original hyperedge
+    with two or more replicas, smaller hyperedges first."""
+    edges = rmap.orig_edges
+    for oid in sorted(range(len(edges)), key=lambda oid: (len(edges[oid]), edges[oid])):
+        rids = sorted(rmap.edge_replicas[oid])
+        if len(rids) > 1:
+            yield oid, rids, update_groups(rmap, rids)
+
+
 # ---------------------------------------------------------------------------
 # Augmented models
 
@@ -623,14 +628,13 @@ class DiscreteAugmented:
     tables: list[np.ndarray]
 
     def consistency_residual(self) -> float:
-        worst = 0.0
+        """Largest entrywise |sum of replica tables - original table|;
+        NaN when any table is NaN."""
+        resids = []
         for oid, e in enumerate(self.rmap.orig_edges):
-            total = monomial_table(self.base.theta(e), len(e)) * 0.0
-            for rid in self.rmap.edge_replicas[oid]:
-                total = total + self.tables[rid]
-            target = monomial_table(self.base.theta(e), len(e))
-            worst = max(worst, float(np.max(np.abs(total - target))))
-        return worst
+            total = sum(self.tables[rid] for rid in self.rmap.edge_replicas[oid])
+            resids.append(np.max(np.abs(total - monomial_table(self.base.theta(e), len(e)))))
+        return float(np.max(resids, initial=0.0))
 
     def augmented_objective(self, x_aug) -> float:
         x_aug = np.asarray(x_aug)
@@ -681,6 +685,14 @@ class GaussianAugmented:
         )
 
 
+def zero_components(rmap: ReplicationMap) -> list[GaussianComponent]:
+    """One all-zero information form per component of `rmap`."""
+    return [
+        GaussianComponent(verts, np.zeros((len(verts), len(verts))), np.zeros(len(verts)))
+        for verts in rmap.component_vertices()
+    ]
+
+
 def split_potentials(model, rmap: ReplicationMap):
     """Uniform consistent split of potentials over replicas."""
     if isinstance(model, DiscreteFactorModel):
@@ -693,10 +705,7 @@ def split_potentials(model, rmap: ReplicationMap):
         return DiscreteAugmented(model, rmap, tables)
 
     if isinstance(model, GaussianInfoModel):
-        comps = [
-            GaussianComponent(verts, np.zeros((len(verts), len(verts))), np.zeros(len(verts)))
-            for verts in rmap.component_vertices()
-        ]
+        comps = zero_components(rmap)
         term_by_support = {t.vertices: t for t in model.clique_terms}
         for rid, e_aug in enumerate(rmap.replica_edges):
             oid = int(rmap.edge_origin[rid])
@@ -712,6 +721,13 @@ def split_potentials(model, rmap: ReplicationMap):
         return GaussianAugmented(model, rmap, comps)
 
     raise ModelError(f"unsupported model type {type(model)!r}")
+
+
+def build_augmented(model, config: DecompositionConfig | str | None = None, **kwargs):
+    """Replicate `model` under `config` (see build_decomposition), add the
+    intermediary hubs and split its potentials over the replicas."""
+    rmap = add_intermediaries(build_decomposition(model.graph, config, **kwargs))
+    return split_potentials(model, rmap)
 
 
 def lift_assignment(x, rmap: ReplicationMap) -> np.ndarray:

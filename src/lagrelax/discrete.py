@@ -8,25 +8,27 @@ which is exactly a move in the multipliers.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomposition import (
     DecompositionConfig,
     DiscreteAugmented,
-    add_intermediaries,
-    build_decomposition,
+    build_augmented,
     ensure_singletons,
     project_assignment,
-    split_potentials,
-    update_groups,
+    replica_classes,
 )
-from .inference import SubgraphEngine, build_engines
+from .inference import TIE_TOL, SubgraphEngine, build_engines
 from .models import LABELS, DiscreteFactorModel, monomial_table, evaluate_objective
+from .report import Report
+
+# The solve stops once the dual g is within GAP_TOL * (1 + |g|) of the best
+# decoded objective.
+GAP_TOL = 1e-6
 
 
 @dataclass
@@ -76,18 +78,15 @@ class TraceEntry:
     wall_ms: float
 
 
-STOP_REASONS = ("certified", "residual", "sweep_cap", "non_finite")
-
-
 @dataclass
-class SolveReport:
+class SolveReport(Report):
     """Result of `solve_discrete`.
 
     `estimate` is the decoded labelling whose objective is `best_primal`.
-    `stop_reason` says what ended the last sweep loop, one of STOP_REASONS:
-    the duality certificate, the polish residual reaching the schedule's
-    inner tolerance, the polish's sweep cap, or a non-finite residual or
-    dual value.
+    `stop_reason` says what ended the last sweep loop, one of
+    `report.STOP_REASONS`: the duality certificate, the polish residual
+    reaching the schedule's inner tolerance, the polish's sweep cap, or a
+    non-finite residual or dual value.
     """
 
     dual_trace: list[TraceEntry]
@@ -103,35 +102,11 @@ class SolveReport:
     wall_ms: float = 0.0
     converged: bool = True
 
+    ENTRY = TraceEntry
+
     def to_dict(self) -> dict:
-        return {
-            "final_dual": self.final_dual,
-            "best_primal": self.best_primal,
-            "gap": self.final_dual - self.best_primal,
-            "gap_flag": self.gap_flag,
-            "estimate": np.asarray(self.estimate).tolist(),
-            "tie_nodes": sorted(self.tie_nodes),
-            "node_tables": np.asarray(self.node_tables).tolist(),
-            "strategy": self.strategy,
-            "notes": list(self.notes),
-            "wall_ms": self.wall_ms,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "dual_trace": [asdict(t) for t in self.dual_trace],
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sweep,tau,g_smooth,g,best_primal,max_residual,wall_ms\n")
-            for t in self.dual_trace:
-                fh.write(
-                    f"{t.sweep},{t.tau:.6g},{t.g_smooth!r},{t.g!r},"
-                    f"{t.best_primal!r},{t.max_residual!r},{t.wall_ms:.3f}\n"
-                )
+        gap = self.final_dual - self.best_primal
+        return {**super().to_dict(), "gap": gap, "tie_nodes": sorted(self.tie_nodes)}
 
 
 @dataclass
@@ -164,19 +139,10 @@ class DiscreteRelaxation:
         self.classes = self._make_classes()
 
     def _make_classes(self) -> list[ClassSpec]:
-        rmap = self.rmap
-        specs = []
-        order = sorted(
-            range(len(rmap.orig_edges)),
-            key=lambda oid: (len(rmap.orig_edges[oid]), rmap.orig_edges[oid]),
-        )
-        for oid in order:
-            rids = sorted(rmap.edge_replicas[oid])
-            if len(rids) <= 1:
-                continue
-            groups = update_groups(rmap, rids)
-            specs.append(ClassSpec(oid, rmap.orig_edges[oid], rids, groups))
-        return specs
+        return [
+            ClassSpec(oid, self.rmap.orig_edges[oid], rids, groups)
+            for oid, rids, groups in replica_classes(self.rmap)
+        ]
 
     # -- dual evaluations ----------------------------------------------------
 
@@ -272,7 +238,7 @@ class DiscreteRelaxation:
                 tables[self.rmap.vertex_origin[v_aug]] += t - np.max(t)
         return tables
 
-    def extract_estimate(self, tie_tol: float = 1e-6) -> EstimateResult:
+    def extract_estimate(self) -> EstimateResult:
         """The better of two decodes: the argmax of the re-summed
         max-marginals, and the component maximizers when they project to a
         consistent labelling (the first wins a tie). Ties and node tables
@@ -281,7 +247,7 @@ class DiscreteRelaxation:
         ties = {
             int(v)
             for v in range(tables.shape[0])
-            if abs(tables[v, 0] - tables[v, 1]) < tie_tol
+            if abs(tables[v, 0] - tables[v, 1]) < TIE_TOL
         }
         candidates = [LABELS[np.argmax(tables, axis=1)]]
         x_aug = np.zeros(self.rmap.n_aug)
@@ -299,51 +265,14 @@ class DiscreteRelaxation:
 def build_relaxation(
     model: DiscreteFactorModel, config: DecompositionConfig | str | None = None, **kwargs
 ) -> DiscreteRelaxation:
-    model = ensure_singletons(model)
-    if config is None or isinstance(config, str):
-        config = DecompositionConfig(
-            strategy=config or "spanning-trees", **kwargs
-        )
-    rmap = build_decomposition(model.graph, config)
-    rmap = add_intermediaries(rmap)
-    aug = split_potentials(model, rmap)
+    aug = build_augmented(ensure_singletons(model), config or "spanning-trees", **kwargs)
     return DiscreteRelaxation(aug)
-
-
-# Module-level forms of the solver operations.
-
-def dual_value(relax: DiscreteRelaxation) -> float:
-    return relax.dual_value()
-
-
-def smooth_dual_value(relax: DiscreteRelaxation, tau: float) -> float:
-    return relax.smooth_dual_value(tau)
-
-
-def dual_gradient(relax: DiscreteRelaxation, tau: float) -> np.ndarray:
-    return relax.dual_gradient(tau)
-
-
-def sweep_log_marginal_averaging(relax: DiscreteRelaxation, tau: float) -> float:
-    return relax.sweep_log_marginal_averaging(tau)
-
-
-def sweep_max_marginal_averaging(relax: DiscreteRelaxation) -> float:
-    return relax.sweep_max_marginal_averaging()
-
-
-def extract_estimate(relax: DiscreteRelaxation, tie_tol: float = 1e-6):
-    res = relax.extract_estimate(tie_tol)
-    return res.estimate, res.tie_nodes, res.best_primal
 
 
 def solve_discrete(
     model: DiscreteFactorModel,
     strategy: DecompositionConfig | str = "spanning-trees",
     schedule: TemperatureSchedule | None = None,
-    *,
-    gap_tol: float = 1e-6,
-    tie_tol: float = 1e-6,
     **kwargs,
 ) -> SolveReport:
     """Anneal the smooth dual, polish at zero temperature, extract an estimate.
@@ -352,7 +281,7 @@ def solve_discrete(
     class residual drops below the schedule's tolerance at each step, then
     max-marginal averaging sweeps. Every sweep decodes an estimate and
     evaluates the dual. The solve stops at the first sweep whose dual g is
-    within gap_tol * (1 + |g|) of the best decoded objective: that estimate
+    within GAP_TOL * (1 + |g|) of the best decoded objective: that estimate
     is then a proven MAP and the dual is optimal to within the same
     tolerance. It also stops at once on a non-finite residual or dual.
     Reports the dual trace, the best estimate with the final ties, a
@@ -366,7 +295,7 @@ def solve_discrete(
         if not (math.isfinite(resid) and math.isfinite(g)):
             return "non_finite"
         # Written so that a NaN primal counts as a gap.
-        if g - primal <= gap_tol * (1 + abs(g)):
+        if g - primal <= GAP_TOL * (1 + abs(g)):
             return "certified"
         return "residual" if resid < tol else None
 
@@ -382,7 +311,7 @@ def solve_discrete(
                 resid = relax.sweep_log_marginal_averaging(tau)
             else:
                 resid = relax.sweep_max_marginal_averaging()
-            est = relax.extract_estimate(tie_tol)
+            est = relax.extract_estimate()
             if best is None or est.best_primal > best.best_primal:
                 best = est
             g = relax.dual_value()

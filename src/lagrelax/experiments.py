@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from .baselines import (
+    BaselineTrace,
     baseline_block_gauss_seidel,
     baseline_gaussian_lbp,
     overlapping_blocks_1d,
@@ -29,6 +30,7 @@ from .generators import (
 )
 from .multiscale import solve_multiscale
 from .oracle import exact_gaussian_solve, exact_grid_map
+from .report import write_trace_csv
 
 EXPERIMENTS = ("discrete-grid", "gaussian-membrane", "gaussian-plate", "multiscale-1d")
 
@@ -192,10 +194,7 @@ def _gaussian_grid(config, outdir, plate: bool) -> dict:
     _, gs_trace = baseline_block_gauss_seidel(
         model, blocks, tol=1e-12, max_iters=max_iters, reference=mean_ref
     )
-    with open(os.path.join(outdir, "trace_block_gs.csv"), "w", encoding="utf-8") as fh:
-        fh.write("sweep,change,err\n")
-        for t in gs_trace:
-            fh.write(f"{t.sweep},{t.change!r},{t.err!r}\n")
+    write_trace_csv(os.path.join(outdir, "trace_block_gs.csv"), BaselineTrace, gs_trace)
     summary["block_gs_sweeps"] = len(gs_trace)
     return summary
 
@@ -249,10 +248,7 @@ def _multiscale_1d(config, outdir) -> dict:
     _, gs_trace = baseline_block_gauss_seidel(
         model, blocks, tol=1e-14, max_iters=max_iters, reference=mean_ref
     )
-    with open(os.path.join(outdir, "trace_block_gs.csv"), "w", encoding="utf-8") as fh:
-        fh.write("sweep,change,err\n")
-        for t in gs_trace:
-            fh.write(f"{t.sweep},{t.change!r},{t.err!r}\n")
+    write_trace_csv(os.path.join(outdir, "trace_block_gs.csv"), BaselineTrace, gs_trace)
 
     ms_iters = _iters_to([t.mean_err for t in ms.trace], tol)
     gs_iters = _iters_to([t.err for t in gs_trace], tol)

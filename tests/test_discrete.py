@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from lagrelax.decomposition import ReplicationMap, split_potentials
 from lagrelax.discrete import (
-    STOP_REASONS,
     DiscreteRelaxation,
     TemperatureSchedule,
     build_relaxation,
     solve_discrete,
 )
 from lagrelax.generators import generate_ising_grid
+from lagrelax.report import STOP_REASONS
 from lagrelax.models import (
     DiscreteFactorModel,
     Hypergraph,
@@ -404,6 +404,12 @@ def test_nan_table_yields_no_certificate(monkeypatch):
     assert np.isnan(rep.final_dual)
     assert rep.gap_flag
     assert not rep.converged
+
+
+def test_nan_table_gives_nan_consistency_residual():
+    relax = build_relaxation(generate_ising_grid(3, 1.0, "attractive", seed=0), "disjoint-edges")
+    relax.engine_of_rid[0].add_to_table(0, np.full_like(relax.aug.tables[0], np.nan))
+    assert np.isnan(relax.aug.consistency_residual())
 
 
 def test_nan_ends_the_sweeps_at_once(monkeypatch):

@@ -133,7 +133,8 @@ class TestCli:
         )
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["converged"] is True
+        assert report["converged"] is True and report["stop_reason"] == "residual"
+        assert "stop = residual" in capsys.readouterr().out
 
     def test_gsolve_rejects_discrete(self, tmp_path):
         model = generate_ising_grid(3, 1.0, "attractive", seed=0)
@@ -150,7 +151,9 @@ class TestCli:
              "--tol", "1e-8", "--out", str(tmp_path / "r.json")]
         )
         assert rc == 0
-        assert json.loads((tmp_path / "r.json").read_text())["converged"]
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["converged"] and report["stop_reason"] == "residual"
+        assert "stop = residual" in capsys.readouterr().out
 
     def test_oracle_discrete(self, tmp_path, capsys):
         model = generate_ising_grid(3, 1.0, "frustrated", seed=5)

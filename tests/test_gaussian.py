@@ -47,7 +47,7 @@ class TestDualValue:
             strategy="thin-strips", rows=1, cols=4, strip_width=2, overlap=1
         )
         rep = solve_gaussian(gm, cfg, tol=1e-12, max_iters=500)
-        assert rep.converged
+        assert rep.converged and rep.stop_reason == "residual"
         assert rep.dual == pytest.approx(val, rel=1e-10)
 
 
@@ -83,6 +83,23 @@ class TestSweep:
         monkeypatch.setattr(gaussian, "build_gaussian_relaxation", build_with_nan)
         with pytest.raises(NotPositiveDefiniteError):
             solve_gaussian(gm, cfg, tol=1e-8, max_iters=5)
+
+    def test_nan_potential_ends_the_sweeps_at_once(self, monkeypatch):
+        # A NaN h keeps every block PD, so only the residuals can catch it.
+        def build_with_nan(model, config=None, **kwargs):
+            relax = build_gaussian_relaxation(model, config, **kwargs)
+            relax.aug.components[0].h[0] = np.nan
+            return relax
+
+        gm = generate_thin_membrane(4, 0.05, seed=5)
+        cfg = DecompositionConfig(
+            strategy="thin-strips", rows=4, cols=4, strip_width=2, overlap=1
+        )
+        monkeypatch.setattr(gaussian, "build_gaussian_relaxation", build_with_nan)
+        rep = solve_gaussian(gm, cfg, tol=1e-8, max_iters=50)
+        assert np.isnan(rep.consistency_max)
+        assert rep.stop_reason == "non_finite"
+        assert rep.iterations == 1 and not rep.converged
 
     def test_deltas_sum_to_zero(self):
         m = matcher_of_two_singletons(1.0, 3.0, h0=0.5, h1=-0.5)
@@ -248,7 +265,7 @@ class TestSolveReport:
             strategy="thin-strips", rows=6, cols=6, strip_width=2, overlap=1
         )
         rep = solve_gaussian(gm, cfg, tol=1e-12, max_iters=3)
-        assert not rep.converged
+        assert not rep.converged and rep.stop_reason == "sweep_cap"
         assert rep.iterations == 3
 
     def test_trace_csv_schema(self, tmp_path):

@@ -7,12 +7,9 @@ from hypothesis import given, strategies as st
 from lagrelax.decomposition import build_decomposition, split_potentials
 from lagrelax.inference import (
     build_engines,
-    component_map,
     gaussian_component_mean,
     gaussian_marginal_info,
-    max_marginals,
     min_fill_order,
-    tempered_marginals,
 )
 from lagrelax.models import (
     DiscreteFactorModel,
@@ -65,17 +62,15 @@ class TestTemperedMarginals:
         coeffs = {(0,): 0.0}
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), coeffs)
         eng = single_engine(m)
-        tables, logZ = tempered_marginals(eng, 1.0)
-        (t,) = tables.values()
-        assert np.allclose(t, np.log(0.5))
-        assert logZ == pytest.approx(np.log(2.0))
+        (rid,) = eng.tables
+        assert np.allclose(eng.log_marginal(rid, 1.0), np.log(0.5))
+        assert eng.log_partition(1.0) == pytest.approx(np.log(2.0))
 
     def test_single_node_potential(self):
         t = 0.8
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): t})
         eng = single_engine(m)
-        _, logZ = tempered_marginals(eng, 1.0)
-        assert logZ == pytest.approx(np.log(np.exp(t) + np.exp(-t)))
+        assert eng.log_partition(1.0) == pytest.approx(np.log(np.exp(t) + np.exp(-t)))
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_chain_matches_enumeration(self, seed):
@@ -83,14 +78,12 @@ class TestTemperedMarginals:
         m = chain_model(rng.normal(size=3), rng.normal(size=2))
         tau = float(rng.uniform(0.2, 2.0))
         eng = single_engine(m)
-        got_tables, got_logZ = tempered_marginals(eng, tau)
         want_tables, want_logZ = brute_tables(m, tau)
-        assert got_logZ == pytest.approx(want_logZ, abs=1e-12)
+        assert eng.log_partition(tau) == pytest.approx(want_logZ, abs=1e-12)
         rmap_edges = {}
-        for rid, table in got_tables.items():
-            e = eng.edge_vars[rid]
+        for rid, e in eng.edge_vars.items():
             orig = tuple(sorted(eng.aug_vertices[v] for v in e))
-            rmap_edges[orig] = table
+            rmap_edges[orig] = eng.log_marginal(rid, tau)
         for e, want in want_tables.items():
             assert np.max(np.abs(rmap_edges[e] - want)) < 1e-12
 
@@ -105,10 +98,9 @@ class TestMaxMarginals:
     def test_single_node(self):
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): 0.7})
         eng = single_engine(m)
-        tables, cmax = max_marginals(eng)
-        (t,) = tables.values()
-        assert np.allclose(t, [0.7, -0.7])
-        assert cmax == pytest.approx(0.7)
+        (rid,) = eng.tables
+        assert np.allclose(eng.max_marginal(rid), [0.7, -0.7])
+        assert eng.component_max() == pytest.approx(0.7)
 
     def test_middle_of_repulsive_chain(self):
         m = chain_model([0.0, 0.0, 0.0], [-1.0, -1.0])
@@ -121,9 +113,9 @@ class TestMaxMarginals:
         rng = np.random.default_rng(seed)
         m = chain_model(rng.normal(size=4), rng.normal(size=3))
         eng = single_engine(m)
-        tables, cmax = max_marginals(eng)
-        for t in tables.values():
-            assert np.max(t) == pytest.approx(cmax, abs=1e-12)
+        cmax = eng.component_max()
+        for rid in eng.tables:
+            assert np.max(eng.max_marginal(rid)) == pytest.approx(cmax, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_tempered_limit_approaches_max_marginals(self, seed):
@@ -142,21 +134,19 @@ class TestComponentMap:
     def test_positive_single_node(self):
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): 0.5})
         eng = single_engine(m)
-        assign, ties = component_map(eng)
-        assert assign[0] == 1.0 and not ties
+        assert eng.map_assignment()[0] == 1.0 and not eng.tie_vertices()
 
     def test_zero_breaks_to_plus_one(self):
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): 0.0})
         eng = single_engine(m)
-        assign, ties = component_map(eng)
-        assert assign[0] == 1.0 and ties == {0}
+        assert eng.map_assignment()[0] == 1.0 and eng.tie_vertices() == {0}
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_assignment_attains_component_max(self, seed):
         rng = np.random.default_rng(seed)
         m = chain_model(rng.normal(size=4), [-1.0, 1.0, -1.0])
         eng = single_engine(m)
-        assign, _ = component_map(eng)
+        assign = eng.map_assignment()
         x = np.array([assign[eng.aug_vertices.index(v)] for v in range(4)])
         from lagrelax.models import evaluate_objective
 
@@ -214,16 +204,18 @@ class TestMinFill:
         for u, v in grid_edges(4, 4):
             nbrs[u].add(v)
             nbrs[v].add(u)
-        order, width = min_fill_order(nbrs)
+        order, width, cliques = min_fill_order(nbrs)
         assert sorted(order) == list(range(n))
         assert width <= 4
+        assert [c[0] for c in cliques] == order
+        assert width == max(len(c) for c in cliques) - 1
 
     def test_chain_width_one(self):
         nbrs = [set() for _ in range(6)]
         for v in range(5):
             nbrs[v].add(v + 1)
             nbrs[v + 1].add(v)
-        _, width = min_fill_order(nbrs)
+        _, width, _ = min_fill_order(nbrs)
         assert width == 1
 
 

@@ -118,8 +118,26 @@ def test_solve_converges_to_exact_means():
     gm = generate_chain_membrane(32, 0.01, seed=5)
     mean, _, _ = exact_gaussian_solve(gm)
     rep = solve_multiscale(gm, levels=4, block=2, tol=1e-10, max_iters=300)
-    assert rep.converged
+    assert rep.converged and rep.stop_reason == "residual"
     assert np.max(np.abs(rep.means - mean)) < 1e-6
+
+
+def test_sweep_cap_and_nan_stop_reasons(monkeypatch):
+    import lagrelax.multiscale as multiscale
+
+    gm = generate_chain_membrane(16, 0.01, seed=0)
+    rep = solve_multiscale(gm, levels=3, block=2, tol=1e-14, max_iters=2)
+    assert rep.stop_reason == "sweep_cap" and not rep.converged
+
+    def build_with_nan(model, levels, block=2):
+        ms = build_multiscale(model, levels, block)
+        ms.scales[0].matcher.components[0].h[0] = np.nan
+        return ms
+
+    monkeypatch.setattr(multiscale, "build_multiscale", build_with_nan)
+    rep = solve_multiscale(gm, levels=3, block=2, tol=1e-8, max_iters=50)
+    assert rep.stop_reason == "non_finite"
+    assert rep.iterations == 1 and not rep.converged
 
 
 def test_levels_one_matches_single_scale():
