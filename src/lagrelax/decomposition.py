@@ -50,7 +50,6 @@ class DecompositionConfig:
     strip_width: int = 8  # K
     overlap: int = 2  # L
     block: int = 3
-    tree_count: int = 2
     treewidth_bound: int | None = 12
 
     def __post_init__(self):
@@ -303,7 +302,7 @@ def _build_spanning_trees(b: _Builder, config: DecompositionConfig):
     _require_pairwise(edges, "spanning-trees")
     rows, cols = _grid_shape(b.n, config)
     grid = rows > 1 and set(edges) == _grid_edge_set(rows, cols)
-    if grid and config.tree_count == 2:
+    if grid:
         trees = [
             _snake_tree_edges(rows, cols, column_major=True),
             _snake_tree_edges(rows, cols, column_major=False),

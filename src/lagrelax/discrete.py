@@ -24,7 +24,7 @@ from .decomposition import (
 )
 from .inference import TIE_TOL, SubgraphEngine, build_engines
 from .models import LABELS, DiscreteFactorModel, monomial_table, evaluate_objective
-from .report import Report
+from .report import Report, json_safe
 
 # The solve stops once the dual g is within GAP_TOL * (1 + |g|) of the best
 # decoded objective.
@@ -106,7 +106,7 @@ class SolveReport(Report):
 
     def to_dict(self) -> dict:
         gap = self.final_dual - self.best_primal
-        return {**super().to_dict(), "gap": gap, "tie_nodes": sorted(self.tie_nodes)}
+        return {**super().to_dict(), "gap": json_safe(gap), "tie_nodes": sorted(self.tie_nodes)}
 
 
 @dataclass

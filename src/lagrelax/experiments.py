@@ -276,8 +276,8 @@ def _single_scale_mean_errors(model, cfg, mean_ref, max_iters, tol):
     relax = build_gaussian_relaxation(model, cfg)
     errs = []
     for _ in range(max_iters):
-        relax.sweep_moment_matching()
-        err = float(np.max(np.abs(relax.node_means() - mean_ref)))
+        relax.matcher.sweep()
+        err = float(np.max(np.abs(relax.node_stats().mean - mean_ref)))
         errs.append(err)
         if err < tol * 1e-3:
             break

@@ -4,7 +4,9 @@ Each class update equalizes the marginal information forms of a replicated
 vertex set by averaging and re-splitting, which is the exact block
 coordinate step of the log-det regularized dual. Positive definiteness and
 consistency (A^T J' A = J, A^T h' = h) are preserved by construction and
-checked every sweep.
+checked every sweep. Each sweep then factors every component once: that
+one factor checks positive definiteness and gives the means, the
+covariance diagonal and the dual value.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from .decomposition import (
     build_augmented,
     replica_classes,
 )
-from .inference import (
-    factor_active,
-    gaussian_component_mean,
-    gaussian_component_value,
-    gaussian_marginal_info,
-)
+from .inference import gaussian_component_mean, gaussian_marginal_info
 from .models import GaussianInfoModel, NotPositiveDefiniteError
 from .report import Report
 
@@ -92,31 +89,6 @@ class MomentMatcher:
                     self._apply(cls, group, self._member_infos(cls, group))
         return float(np.max(resids, initial=0.0))
 
-    def dual_value(self) -> float:
-        return float(
-            sum(gaussian_component_value(c.J, c.h) for c in self.components)
-        )
-
-    def component_means(self) -> list[np.ndarray]:
-        return [gaussian_component_mean(c.J, c.h) for c in self.components]
-
-    def component_cov_diag(self) -> list[np.ndarray]:
-        out = []
-        for c in self.components:
-            try:
-                out.append(np.diag(np.linalg.inv(c.J)).copy())
-            except np.linalg.LinAlgError:
-                out.append(np.full(c.size, np.nan))
-        return out
-
-    def factorization_ok(self) -> bool:
-        try:
-            for c in self.components:
-                factor_active(c.J, c.h)
-        except NotPositiveDefiniteError:
-            return False
-        return True
-
 
 def replica_average(rmap, components, values):
     """Per original vertex of `rmap`: the mean of its replicas' entries in
@@ -180,6 +152,17 @@ def build_matcher(rmap, components) -> MomentMatcher:
     return MomentMatcher(components, classes)
 
 
+@dataclass
+class NodeStats:
+    """One read of every component (`GaussianRelaxation.node_stats`)."""
+
+    mean: np.ndarray  # replica-averaged, per original node
+    mean_spread: float  # largest cross-replica max - min of the means
+    var_spread: float  # the same for the variances
+    dual: float  # sum of the component values
+    component_var: list[np.ndarray]  # covariance diagonal per component
+
+
 class GaussianRelaxation:
     """Augmented Gaussian model plus its agreement classes."""
 
@@ -192,34 +175,34 @@ class GaussianRelaxation:
     def classes(self) -> list[GaussClass]:
         return self.matcher.classes
 
-    def sweep_moment_matching(self) -> float:
-        return self.matcher.sweep()
+    def node_stats(self) -> NodeStats:
+        """Factor every component once and average its mean and variance
+        over each original node's replicas.
 
-    def dual_value(self) -> float:
-        return self.matcher.dual_value()
+        Raises NotPositiveDefiniteError when a component is not positive
+        definite or not finite.
+        """
+        comps = self.aug.components
+        means, variances, values = zip(*(gaussian_component_mean(c.J, c.h) for c in comps))
+        mean, mean_spread = replica_average(self.rmap, comps, means)
+        _, var_spread = replica_average(self.rmap, comps, variances)
+        return NodeStats(
+            mean=mean,
+            mean_spread=float(np.max(mean_spread)),
+            var_spread=float(np.max(var_spread)),
+            dual=float(sum(values)),
+            component_var=list(variances),
+        )
 
-    def _average(self, values):
-        return replica_average(self.rmap, self.aug.components, values)
-
-    def node_stats(self):
-        """Per original node: averaged mean, averaged variance, and the
-        largest cross-replica spread of each."""
-        mean, mean_spread = self._average(self.matcher.component_means())
-        var, var_spread = self._average(self.matcher.component_cov_diag())
-        return mean, var, float(np.max(mean_spread)), float(np.max(var_spread))
-
-    def node_means(self) -> np.ndarray:
-        """Replica-averaged means only (no covariance work)."""
-        return self._average(self.matcher.component_means())[0]
-
-    def node_variance_bounds(self):
+    def node_variance_bounds(self, stats: NodeStats):
         """Loose bound 1/Jbar_v per node; tighter 1/(r Jbar_v) when every
         replica sits in its own component.
 
-        Jbar_v averages the replicas' marginal precisions 1/Sigma_vv.
+        Jbar_v averages the replicas' marginal precisions 1/Sigma_vv, read
+        from `stats`.
         """
-        precs = [1.0 / d for d in self.matcher.component_cov_diag()]
-        jbar, _ = self._average(precs)
+        precs = [1.0 / d for d in stats.component_var]
+        jbar, _ = replica_average(self.rmap, self.aug.components, precs)
         loose = 1.0 / jbar
         comp_of = self.rmap.component_of_vertex
         tight = loose.copy()
@@ -303,8 +286,12 @@ def solve_gaussian(
     The information form stays positive definite and consistent throughout:
     losing positive definiteness raises, and the largest consistency
     residual over the sweeps is reported (NaN when any was NaN). A NaN or
-    infinite sweep residual ends the sweeps at once.
+    infinite sweep residual ends the sweeps at once. Each sweep reads every
+    component once, and the report's means, dual and variance bounds come
+    from the last sweep's read.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     relax = build_gaussian_relaxation(model, strategy, **kwargs)
     strategy_name = strategy if isinstance(strategy, str) else strategy.strategy
     t0 = time.perf_counter()
@@ -314,20 +301,16 @@ def solve_gaussian(
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        resid = relax.sweep_moment_matching()
+        resid = relax.matcher.sweep()
         dJ, dh = relax.aug.consistency_residual()
         consistency_max = float(np.maximum(consistency_max, dJ + dh))
-        if not relax.matcher.factorization_ok():
-            raise NotPositiveDefiniteError(
-                "moment-matching update lost positive definiteness"
-            )
-        _, _, mean_spread, var_spread = relax.node_stats()
+        stats = relax.node_stats()
         trace.append(
             GaussianTraceEntry(
                 sweep=it,
-                dual=relax.dual_value(),
-                mean_err_proxy=mean_spread,
-                var_residual=var_spread,
+                dual=stats.dual,
+                mean_err_proxy=stats.mean_spread,
+                var_residual=stats.var_spread,
                 max_residual=resid,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
@@ -338,11 +321,10 @@ def solve_gaussian(
         if resid < tol:
             stop_reason = "residual"
             break
-    mean, _, _, _ = relax.node_stats()
-    loose, tight = relax.node_variance_bounds()
+    loose, tight = relax.node_variance_bounds(stats)
     return GaussianSolveReport(
-        means=mean,
-        dual=relax.dual_value(),
+        means=stats.mean,
+        dual=stats.dual,
         converged=stop_reason == "residual",
         iterations=iterations,
         dual_trace=trace,

@@ -7,9 +7,9 @@ lazily, so a potential update followed by a query only recomputes messages
 on the directed path between the touched clique and the queried one.
 
 Gaussian components are dense: a marginal information form is one Schur
-complement through a Cholesky factor of the eliminated block. Means,
-values and positive-definiteness checks all factor a component's active
-block through `factor_active`.
+complement through a Cholesky factor of the eliminated block. A
+component's positive-definiteness check, mean, covariance diagonal and
+value all come from one factor of its active block (`factor_active`).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from .models import NotPositiveDefiniteError
 
@@ -348,15 +349,6 @@ class SubgraphEngine:
                 stack.append(c)
         return assign
 
-    def tie_vertices(self) -> set[int]:
-        """Local vertices whose two max-marginal values differ by < TIE_TOL."""
-        ties = set()
-        for v in range(self.n_local):
-            t = self.vertex_max_marginal(v)
-            if abs(float(t[0] - t[1])) < TIE_TOL:
-                ties.add(v)
-        return ties
-
 
 def build_engines(aug) -> list[SubgraphEngine]:
     """One engine per component of a DiscreteAugmented model."""
@@ -452,14 +444,21 @@ def gaussian_marginal_info(J, h, keep, elim=None):
     return 0.5 * (Jm + Jm.T), hm
 
 
+# The one per-component read, and the only name behind the benchmark's
+# `inference.component_solve_s` (perfbench/tracer.py), hence its name.
 def gaussian_component_mean(J, h):
+    """Mean, covariance diagonal and value max_x -1/2 x J x + h x = 1/2 h^T mu
+    of one component, from one `factor_active` factor of its active block.
+
+    Raises NotPositiveDefiniteError as `factor_active` does. An inactive
+    variable has mean 0 and infinite variance.
+    """
     idx, chol = factor_active(J, h)
     mean = np.zeros(J.shape[0])
+    var = np.full(J.shape[0], np.inf)
     if chol is not None:
         mean[idx] = cho_solve(chol, h[idx], check_finite=False)
-    return mean
-
-
-def gaussian_component_value(J, h) -> float:
-    """max_x -1/2 x J x + h x = 1/2 h^T J^{-1} h."""
-    return float(0.5 * h @ gaussian_component_mean(J, h))
+        # Sigma = L^-T L^-1, so Sigma_vv is the squared norm of column v of L^-1.
+        Linv, _ = dtrtri(chol[0], lower=1)
+        var[idx] = np.einsum("ij,ij->j", Linv, Linv)
+    return mean, var, float(0.5 * h @ mean)

@@ -26,7 +26,7 @@ from .decomposition import (
     zero_components,
 )
 from .gaussian import MomentMatcher, build_matcher, replica_average
-from .inference import factor_active
+from .inference import factor_active, gaussian_component_mean
 from .models import (
     GaussianInfoModel,
     Hypergraph,
@@ -266,9 +266,9 @@ class MultiscaleSolveReport(Report):
 
 
 def fine_scale_means(ms: MultiscaleModel) -> np.ndarray:
-    matcher = ms.scales[0].matcher
-    means, _ = replica_average(ms.scales[0].rmap, matcher.components, matcher.component_means())
-    return means
+    comps = ms.scales[0].matcher.components
+    means = [gaussian_component_mean(c.J, c.h)[0] for c in comps]
+    return replica_average(ms.scales[0].rmap, comps, means)[0]
 
 
 def solve_multiscale(

@@ -1,12 +1,14 @@
 """JSON and trace-CSV output shared by the solve reports.
 
 Every report is a dataclass whose fields are its JSON keys, with one field
-holding the per-sweep trace as a list of entry dataclasses.
+holding the per-sweep trace as a list of entry dataclasses. The JSON is
+strict: NaN and infinite values are written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from typing import ClassVar
 
@@ -15,6 +17,17 @@ import numpy as np
 # Why a solve ended: the duality certificate (discrete only), the sweep
 # residual below tolerance, the sweep cap, or a NaN or infinite state.
 STOP_REASONS = ("certified", "residual", "sweep_cap", "non_finite")
+
+
+def json_safe(value):
+    """`value` with every NaN or infinite float, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    return value
 
 
 def write_trace_csv(path, entry_type, entries) -> None:
@@ -48,12 +61,12 @@ class Report:
                 value = [asdict(t) for t in value]
             elif isinstance(value, np.ndarray):
                 value = value.tolist()
-            out[f.name] = value
+            out[f.name] = json_safe(value)
         return out
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(self.to_dict(), fh, indent=1, allow_nan=False)
 
     def write_trace_csv(self, path) -> None:
         write_trace_csv(path, self.ENTRY, getattr(self, self.TRACE))

@@ -215,7 +215,7 @@ def test_criterion_08_variance_upper_bounds():
     for name, (model, cfg, report, _) in _get_gaussian_runs().items():
         relax = build_gaussian_relaxation(model, cfg)
         for _ in range(2000):
-            if relax.sweep_moment_matching() < 1e-9:
+            if relax.matcher.sweep() < 1e-9:
                 break
         J, _ = model.aggregate_dense
         cov = np.linalg.inv(J)
@@ -259,8 +259,8 @@ def test_criterion_10_multiscale_speedup_ordering():
     relax = build_gaussian_relaxation(model, cfg)
     ss_iters = None
     for it in range(1, 2501):
-        relax.sweep_moment_matching()
-        if float(np.max(np.abs(relax.node_means() - mean_ref))) < tol:
+        relax.matcher.sweep()
+        if float(np.max(np.abs(relax.node_stats().mean - mean_ref))) < tol:
             ss_iters = it
             break
 

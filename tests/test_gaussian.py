@@ -9,7 +9,7 @@ from lagrelax.gaussian import (
     build_gaussian_relaxation,
     solve_gaussian,
 )
-from lagrelax.inference import gaussian_marginal_info
+from lagrelax.inference import gaussian_component_mean, gaussian_marginal_info
 from lagrelax.models import GaussianInfoModel, NotPositiveDefiniteError
 from lagrelax.generators import (
     generate_chain_membrane,
@@ -31,14 +31,12 @@ def matcher_of_two_singletons(j0, j1, h0=0.0, h1=0.0):
 
 class TestDualValue:
     def test_identity(self):
-        c = GaussianComponent([0, 1], np.eye(2), np.array([1.0, 1.0]))
-        m = MomentMatcher([c], [])
-        assert m.dual_value() == pytest.approx(1.0)
+        _, _, value = gaussian_component_mean(np.eye(2), np.array([1.0, 1.0]))
+        assert value == pytest.approx(1.0)
 
     def test_zero_h(self):
-        c = GaussianComponent([0, 1], 2 * np.eye(2), np.zeros(2))
-        m = MomentMatcher([c], [])
-        assert m.dual_value() == pytest.approx(0.0)
+        _, _, value = gaussian_component_mean(2 * np.eye(2), np.zeros(2))
+        assert value == pytest.approx(0.0)
 
     def test_converged_chain_matches_exact(self):
         gm = generate_chain_membrane(4, 0.1, seed=3)
@@ -61,28 +59,45 @@ class TestSweep:
 
     def test_nan_marginal_gives_nan_residual(self):
         m = matcher_of_two_singletons(1.0, 2.0)
-        m.components[0].J[0, 0] = np.nan
+        c = m.components[0]
+        c.J[0, 0] = np.nan
         assert np.isnan(m.sweep())
-        assert not m.factorization_ok()
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian_component_mean(c.J, c.h)
 
-    def test_nan_component_yields_no_report(self, monkeypatch):
-        # A NaN in a component's J (models reject NaN at construction) must
-        # not come back as a converged solve: the sweep or the per-sweep
-        # factorization check rejects it.
-        def build_with_nan(model, config=None, **kwargs):
+    @staticmethod
+    def solve_with_corrupt_component(monkeypatch, corrupt):
+        def build_corrupted(model, config=None, **kwargs):
             relax = build_gaussian_relaxation(model, config, **kwargs)
             cls = relax.classes[0]
             ci, locs, _ = cls.members[0]
-            relax.aug.components[ci].J[locs[0], locs[0]] = np.nan
+            corrupt(relax.aug.components[ci].J, locs[0])
             return relax
 
         gm = generate_thin_membrane(4, 0.05, seed=5)
         cfg = DecompositionConfig(
             strategy="thin-strips", rows=4, cols=4, strip_width=2, overlap=1
         )
-        monkeypatch.setattr(gaussian, "build_gaussian_relaxation", build_with_nan)
+        monkeypatch.setattr(gaussian, "build_gaussian_relaxation", build_corrupted)
+        return solve_gaussian(gm, cfg, tol=1e-8, max_iters=5)
+
+    def test_nan_component_yields_no_report(self, monkeypatch):
+        # A NaN in a component's J (models reject NaN at construction) must
+        # not come back as a converged solve: the sweep or the per-sweep
+        # factorization check rejects it.
+        def put_nan(J, v):
+            J[v, v] = np.nan
+
         with pytest.raises(NotPositiveDefiniteError):
-            solve_gaussian(gm, cfg, tol=1e-8, max_iters=5)
+            self.solve_with_corrupt_component(monkeypatch, put_nan)
+
+    def test_non_pd_component_yields_no_report(self, monkeypatch):
+        # A finite J that is not positive definite fails the same check.
+        def negate_diagonal(J, v):
+            J[v, v] = -J[v, v]
+
+        with pytest.raises(NotPositiveDefiniteError):
+            self.solve_with_corrupt_component(monkeypatch, negate_diagonal)
 
     def test_nan_potential_ends_the_sweeps_at_once(self, monkeypatch):
         # A NaN h keeps every block PD, so only the residuals can catch it.
@@ -159,10 +174,33 @@ class TestInvariants:
         )
         relax = build_gaussian_relaxation(gm, cfg)
         for _ in range(20):
-            relax.sweep_moment_matching()
+            relax.matcher.sweep()
             dJ, dh = relax.aug.consistency_residual()
             assert dJ < 1e-10 and dh < 1e-10
-            assert relax.matcher.factorization_ok()
+            relax.node_stats()  # raises when a component is not PD
+
+    def test_one_factor_per_component_per_sweep(self, monkeypatch):
+        # Each sweep reads every component through one Cholesky factor, the
+        # report reuses the last read, and no covariance comes from inv.
+        gm = generate_thin_membrane(6, 0.05, seed=3)
+        cfg = DecompositionConfig(
+            strategy="thin-strips", rows=6, cols=6, strip_width=3, overlap=2
+        )
+        components = len(build_gaussian_relaxation(gm, cfg).aug.components)
+        calls = {"cholesky": 0, "inv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        rep = solve_gaussian(gm, cfg, tol=1e-9, max_iters=2000)
+        assert (rep.iterations, components) == (196, 4)
+        assert calls == {"cholesky": rep.iterations * components, "inv": 0}
 
     def test_already_thin_chain_converges_immediately(self):
         gm = generate_chain_membrane(6, 0.1, seed=0)
@@ -183,7 +221,7 @@ class TestVarianceBounds:
             strategy="thin-strips", rows=1, cols=6, strip_width=6, overlap=2
         )
         relax = build_gaussian_relaxation(gm, cfg)
-        loose, tight = relax.node_variance_bounds()
+        loose, tight = relax.node_variance_bounds(relax.node_stats())
         _, var, _ = exact_gaussian_solve(gm)
         assert np.max(np.abs(loose - var)) < 1e-10
         assert np.max(np.abs(tight - var)) < 1e-10
@@ -208,7 +246,7 @@ class TestVarianceBounds:
         )
         relax = build_gaussian_relaxation(gm, cfg)
         for _ in range(10):
-            relax.sweep_moment_matching()
+            relax.matcher.sweep()
         rmap, comps = relax.rmap, relax.aug.components
         loose_ref = np.zeros(rmap.n_orig)
         tight_ref = np.zeros(rmap.n_orig)
@@ -224,7 +262,7 @@ class TestVarianceBounds:
             loose_ref[v] = 1.0 / jbar
             distinct = len(set(comp_ids)) == len(reps)
             tight_ref[v] = 1.0 / (len(reps) * jbar) if distinct else loose_ref[v]
-        loose, tight = relax.node_variance_bounds()
+        loose, tight = relax.node_variance_bounds(relax.node_stats())
         np.testing.assert_allclose(loose, loose_ref, rtol=1e-10, atol=0)
         np.testing.assert_allclose(tight, tight_ref, rtol=1e-10, atol=0)
 
@@ -235,8 +273,8 @@ class TestVarianceBounds:
         )
         relax = build_gaussian_relaxation(gm, cfg)
         for _ in range(50):
-            relax.sweep_moment_matching()
-        loose, tight = relax.node_variance_bounds()
+            relax.matcher.sweep()
+        loose, tight = relax.node_variance_bounds(relax.node_stats())
         assert np.all(tight <= loose + 1e-12)
 
     def test_class_bounds_psd_against_exact(self):
@@ -246,7 +284,7 @@ class TestVarianceBounds:
         )
         relax = build_gaussian_relaxation(gm, cfg)
         for _ in range(400):
-            if relax.sweep_moment_matching() < 1e-10:
+            if relax.matcher.sweep() < 1e-10:
                 break
         J, _ = gm.aggregate_dense
         cov = np.linalg.inv(J)
@@ -267,6 +305,11 @@ class TestSolveReport:
         rep = solve_gaussian(gm, cfg, tol=1e-12, max_iters=3)
         assert not rep.converged and rep.stop_reason == "sweep_cap"
         assert rep.iterations == 3
+
+    def test_at_least_one_sweep(self):
+        gm = generate_thin_membrane(4, 0.05, seed=0)
+        with pytest.raises(ValueError):
+            solve_gaussian(gm, "thin-strips", max_iters=0)
 
     def test_trace_csv_schema(self, tmp_path):
         gm = generate_thin_membrane(4, 0.05, seed=0)

@@ -134,12 +134,14 @@ class TestComponentMap:
     def test_positive_single_node(self):
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): 0.5})
         eng = single_engine(m)
-        assert eng.map_assignment()[0] == 1.0 and not eng.tie_vertices()
+        t = eng.vertex_max_marginal(0)
+        assert eng.map_assignment()[0] == 1.0 and t[0] - t[1] == pytest.approx(1.0)
 
     def test_zero_breaks_to_plus_one(self):
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): 0.0})
         eng = single_engine(m)
-        assert eng.map_assignment()[0] == 1.0 and eng.tie_vertices() == {0}
+        t = eng.vertex_max_marginal(0)
+        assert eng.map_assignment()[0] == 1.0 and t[0] == t[1]
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_assignment_attains_component_max(self, seed):
@@ -282,5 +284,22 @@ class TestGaussianMarginalInfo:
     def test_mean_recovery(self):
         J = np.array([[2.0, 1.0], [1.0, 2.0]])
         h = np.array([1.0, 1.0])
-        mean = gaussian_component_mean(J, h)
+        mean, var, value = gaussian_component_mean(J, h)
         assert np.allclose(mean, [1 / 3, 1 / 3])
+        assert np.allclose(var, [2 / 3, 2 / 3])
+        assert value == pytest.approx(1 / 3)
+
+    def test_read_matches_inverse_of_active_block(self):
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(6, 6))
+        J = np.zeros((7, 7))
+        active = [0, 1, 2, 4, 5, 6]
+        J[np.ix_(active, active)] = A @ A.T + 6 * np.eye(6)
+        h = rng.normal(size=7)
+        h[3] = 0.0
+        mean, var, value = gaussian_component_mean(J, h)
+        cov = np.linalg.inv(J[np.ix_(active, active)])
+        np.testing.assert_allclose(mean[active], cov @ h[active], rtol=1e-12)
+        np.testing.assert_allclose(var[active], np.diag(cov), rtol=1e-12)
+        assert mean[3] == 0.0 and var[3] == np.inf
+        assert value == pytest.approx(0.5 * h[active] @ cov @ h[active], rel=1e-12)

@@ -31,11 +31,25 @@ def multiscale_report():
     return solve_multiscale(gm, levels=3, block=2, tol=1e-8, reference=mean)
 
 
-@pytest.mark.parametrize("make", [discrete_report, gaussian_report, multiscale_report])
+def multiscale_report_without_reference():
+    # Every trace entry's mean_err is NaN without a reference.
+    return solve_multiscale(generate_chain_membrane(16, 0.01, seed=0), levels=3, block=2, tol=1e-8)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [discrete_report, gaussian_report, multiscale_report, multiscale_report_without_reference],
+)
 def test_json_and_trace_csv_round_trip(make, tmp_path):
     rep = make()
     rep.write_json(tmp_path / "r.json")
-    assert json.loads((tmp_path / "r.json").read_text()) == rep.to_dict()
+    text = (tmp_path / "r.json").read_text()
+    assert json.loads(text, parse_constant=reject_constant) == rep.to_dict()
+    nan_cells = {"mean_err"} if make is multiscale_report_without_reference else set()
 
     trace = getattr(rep, rep.TRACE)
     names = [f.name for f in fields(rep.ENTRY)]
@@ -47,4 +61,7 @@ def test_json_and_trace_csv_round_trip(make, tmp_path):
         for name, cell in zip(names, row.split(","), strict=True):
             value = getattr(entry, name)
             parsed = float(cell) if isinstance(value, float) else int(cell)
-            assert parsed == value and np.isfinite(parsed)
+            if name in nan_cells:
+                assert np.isnan(parsed) and np.isnan(value)
+            else:
+                assert parsed == value and np.isfinite(parsed)
