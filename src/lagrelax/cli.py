@@ -71,7 +71,9 @@ def _cmd_solve(args) -> int:
 
 def _dump_junction_trees(model, config):
     relax = build_relaxation(model, config)
-    for ci, eng in enumerate(relax.engines):
+    engine_of = {int(ci): eng for eng in relax.engines for ci in eng.components}
+    for ci in sorted(engine_of):
+        eng = engine_of[ci]
         cliques = " ".join(
             "{" + ",".join(str(v) for v in c) + "}" for c in eng.cliques
         )

@@ -12,6 +12,7 @@ mutating the split potentials inside the consistency subspace
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,6 +144,11 @@ class ReplicationMap:
         for v in range(self.n_aug):
             out[self.component_of_vertex[v]].append(v)
         return out
+
+    @cached_property
+    def first_replica(self) -> np.ndarray:
+        """The first augmented copy of every original vertex."""
+        return np.array([reps[0] for reps in self.vertex_replicas], dtype=int)
 
     def replica_component(self, rid: int) -> int:
         return int(self.component_of_vertex[self.replica_edges[rid][0]])
@@ -741,15 +747,10 @@ def project_assignment(x_aug, rmap: ReplicationMap):
     x_aug = np.asarray(x_aug)
     if x_aug.shape[0] != rmap.n_aug:
         raise ModelError("assignment length does not match augmented model")
-    out = np.empty(rmap.n_orig, dtype=x_aug.dtype)
-    violated = []
-    for v, reps in enumerate(rmap.vertex_replicas):
-        vals = x_aug[reps]
-        out[v] = vals[0]
-        if not np.all(vals == vals[0]):
-            violated.append(v)
-    if violated:
-        return None, violated
+    out = x_aug[rmap.first_replica]
+    violated = np.unique(rmap.vertex_origin[x_aug != out[rmap.vertex_origin]])
+    if violated.size:
+        return None, violated.tolist()
     return out, []
 
 

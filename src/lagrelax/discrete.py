@@ -4,6 +4,15 @@ zero-temperature max-marginal polish, estimate extraction, gap detection.
 The Lagrange multipliers are never materialized; every sweep mutates the
 split tables inside the consistency subspace (class deltas sum to zero),
 which is exactly a move in the multipliers.
+
+A sweep runs the replica classes by colour. Classes are coloured greedily,
+first fit in `replica_classes` order: a colour holds classes of one arity
+whose replicas share no component, so vertex colours run before edge
+colours. Such class updates commute, so each colour is one array step: read
+every replica's table, average per class by scatter-add, add the deltas
+back. A hub class, whose replicas share a component, is a colour of its own
+and updates one group at a time. Per-sweep monitoring (dual values, vertex
+max-marginals, component maximizers) is one query per engine.
 """
 
 from __future__ import annotations
@@ -125,8 +134,66 @@ class EstimateResult:
     node_tables: np.ndarray
 
 
+class _Step:
+    """Rid groups averaged in one array step.
+
+    No two groups share a component, so reading every replica first and
+    writing every delta after is the same as updating the groups one at a
+    time. Replicas are read per (engine, slot) and stacked group by group,
+    each group in rid order.
+    """
+
+    def __init__(self, engine_of_rid, groups: list[list[int]]):
+        rids = [r for g in groups for r in g]
+        self.index = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        self.counts = np.array([[len(g)] for g in groups])
+        by_slot: dict[tuple[int, int], tuple] = {}
+        for pos, rid in enumerate(rids):
+            eng = engine_of_rid[rid]
+            slot, row = eng.where[rid]
+            _, _, rows, where = by_slot.setdefault((id(eng), slot), (eng, slot, [], []))
+            rows.append(row)
+            where.append(pos)
+        self.reads = [(eng, slot, np.array(rows), np.array(pos)) for eng, slot, rows, pos in by_slot.values()]
+        eng, slot = self.reads[0][:2]
+        self.shape = (2,) * len(eng.edges[slot])  # of one table
+
+    def average(self, tau: float | None, write: bool):
+        """Average each group's tempered log-marginals (max-marginals when
+        tau is None), adding the deltas when `write`. Returns the largest
+        pre-update disagreement max|f_hat - f_bar|, NaN when any is NaN."""
+        vals = np.empty((len(self.index), 2 ** len(self.shape)))
+        for eng, slot, rows, pos in self.reads:
+            t = eng.max_marginal(slot) if tau is None else eng.log_marginal(slot, tau)
+            vals[pos] = t[rows].reshape(len(rows), -1)
+        if tau is None:
+            vals -= vals.max(axis=1, keepdims=True)
+        else:
+            vals *= tau
+        sums = np.zeros((len(self.counts), vals.shape[1]))
+        np.add.at(sums, self.index, vals)
+        delta = (sums / self.counts)[self.index] - vals
+        if write:
+            for eng, slot, rows, pos in self.reads:
+                eng.add_to_slot(slot, rows, delta[pos].reshape((len(rows), *self.shape)))
+        return np.max(np.abs(delta))
+
+
+@dataclass
+class Colour:
+    """Classes of one arity whose replicas share no component, updated in
+    one step. A hub class (several update groups) is a colour of its own:
+    `step` then only measures its residual, and `hub_groups` update it one
+    group after another."""
+
+    classes: list[ClassSpec]
+    step: _Step
+    hub_groups: list[_Step]
+
+
 class DiscreteRelaxation:
-    """Operational state: augmented tables plus one engine per component."""
+    """Operational state: augmented tables plus one engine per component
+    layout."""
 
     def __init__(self, aug: DiscreteAugmented):
         self.aug = aug
@@ -134,56 +201,61 @@ class DiscreteRelaxation:
         self.engines: list[SubgraphEngine] = build_engines(aug)
         self.engine_of_rid: dict[int, SubgraphEngine] = {}
         for eng in self.engines:
-            for rid in eng.tables:
+            for rid in eng.where:
                 self.engine_of_rid[rid] = eng
-        self.classes = self._make_classes()
-
-    def _make_classes(self) -> list[ClassSpec]:
-        return [
+        self.classes = [
             ClassSpec(oid, self.rmap.orig_edges[oid], rids, groups)
             for oid, rids, groups in replica_classes(self.rmap)
+        ]
+        self.colours = self._colour_classes()
+        # component-then-vertex order of the augmented vertices
+        self._vertex_order = np.concatenate(self.rmap.component_vertices())
+
+    def _colour_classes(self) -> list[Colour]:
+        """Greedy first-fit colouring in class order; hub classes alone."""
+        comp = self.rmap.replica_component
+        members: list[tuple[list[ClassSpec], set[int] | None]] = []
+        for cls in self.classes:
+            comps = {comp(r) for r in cls.rids}
+            if len(cls.groups) > 1:
+                members.append(([cls], None))
+                continue
+            for classes, used in members:
+                if used is not None and len(classes[0].edge) == len(cls.edge) and used.isdisjoint(comps):
+                    classes.append(cls)
+                    used |= comps
+                    break
+            else:
+                members.append(([cls], comps))
+        return [
+            Colour(
+                classes,
+                _Step(self.engine_of_rid, [c.rids for c in classes]),
+                [] if used is not None else [_Step(self.engine_of_rid, [g]) for g in classes[0].groups],
+            )
+            for classes, used in members
         ]
 
     # -- dual evaluations ----------------------------------------------------
 
     def dual_value(self) -> float:
-        return float(sum(eng.component_max() for eng in self.engines))
+        return float(sum(np.sum(eng.component_max()) for eng in self.engines))
 
     def smooth_dual_value(self, tau: float) -> float:
-        return float(sum(eng.log_partition(tau) for eng in self.engines))
+        return float(sum(np.sum(eng.log_partition(tau)) for eng in self.engines))
 
     # -- sweeps ---------------------------------------------------------------
 
-    def _class_tables(self, rids, tau: float | None):
-        if tau is None:
-            out = {}
-            for rid in rids:
-                t = self.engine_of_rid[rid].max_marginal(rid)
-                out[rid] = t - np.max(t)
-            return out
-        return {
-            rid: tau * self.engine_of_rid[rid].log_marginal(rid, tau) for rid in rids
-        }
-
     def _sweep(self, tau: float | None) -> float:
         resids = []
-        for cls in self.classes:
-            tabs = self._class_tables(cls.rids, tau)
-            fbar = sum(tabs.values()) / len(cls.rids)
-            resids += [np.max(np.abs(tabs[r] - fbar)) for r in cls.rids]
-            if len(cls.groups) == 1:
-                for rid in cls.rids:
-                    self.engine_of_rid[rid].add_to_table(rid, fbar - tabs[rid])
-            else:
-                for group in cls.groups:
-                    gtabs = self._class_tables(group, tau)
-                    gbar = sum(gtabs.values()) / len(group)
-                    for rid in group:
-                        self.engine_of_rid[rid].add_to_table(rid, gbar - gtabs[rid])
+        for colour in self.colours:
+            resids.append(colour.step.average(tau, write=not colour.hub_groups))
+            for group in colour.hub_groups:
+                group.average(tau, write=True)
         return float(np.max(resids, initial=0.0))
 
     def sweep_log_marginal_averaging(self, tau: float) -> float:
-        """One class-ordered pass of tempered marginal matching.
+        """One colour-ordered pass of tempered marginal matching.
 
         Returns the largest pre-update disagreement max|f_hat - f_bar|,
         NaN when any table is NaN.
@@ -215,7 +287,9 @@ class DiscreteRelaxation:
         return np.array(grad)
 
     def _feature_expectation(self, rid: int, tau: float) -> float:
-        logp = self.engine_of_rid[rid].log_marginal(rid, tau)
+        eng = self.engine_of_rid[rid]
+        slot, row = eng.where[rid]
+        logp = eng.log_marginal(slot, tau)[row]
         sign = monomial_table(1.0, logp.ndim)
         return float(np.sum(np.exp(logp) * sign))
 
@@ -229,13 +303,15 @@ class DiscreteRelaxation:
     # -- estimates -------------------------------------------------------------
 
     def resummed_node_tables(self) -> np.ndarray:
-        n = self.rmap.n_orig
-        tables = np.zeros((n, 2))
-        comps = self.rmap.component_vertices()
-        for eng, verts in zip(self.engines, comps):
-            for loc, v_aug in enumerate(verts):
-                t = eng.vertex_max_marginal(loc)
-                tables[self.rmap.vertex_origin[v_aug]] += t - np.max(t)
+        """Max-normalized vertex max-marginals summed over replicas, in
+        component-then-vertex order."""
+        vals = np.empty((self.rmap.n_aug, 2))
+        for eng in self.engines:
+            t = eng.vertex_max_marginal()
+            vals[eng.aug_vertices] = t - np.max(t, axis=2, keepdims=True)
+        tables = np.zeros((self.rmap.n_orig, 2))
+        order = self._vertex_order
+        np.add.at(tables, self.rmap.vertex_origin[order], vals[order])
         return tables
 
     def extract_estimate(self) -> EstimateResult:
@@ -244,16 +320,11 @@ class DiscreteRelaxation:
         consistent labelling (the first wins a tie). Ties and node tables
         come from the re-summed max-marginals."""
         tables = self.resummed_node_tables()
-        ties = {
-            int(v)
-            for v in range(tables.shape[0])
-            if abs(tables[v, 0] - tables[v, 1]) < TIE_TOL
-        }
+        ties = set(np.flatnonzero(np.abs(tables[:, 0] - tables[:, 1]) < TIE_TOL).tolist())
         candidates = [LABELS[np.argmax(tables, axis=1)]]
         x_aug = np.zeros(self.rmap.n_aug)
-        comps = self.rmap.component_vertices()
-        for eng, verts in zip(self.engines, comps):
-            x_aug[verts] = eng.map_assignment()
+        for eng in self.engines:
+            x_aug[eng.aug_vertices] = eng.map_assignment()
         projected, _ = project_assignment(x_aug, self.rmap)
         if projected is not None:
             candidates.append(projected)
@@ -279,7 +350,8 @@ def solve_discrete(
 
     Runs log-marginal averaging sweeps down the temperature ladder until the
     class residual drops below the schedule's tolerance at each step, then
-    max-marginal averaging sweeps. Every sweep decodes an estimate and
+    max-marginal averaging sweeps. Each sweep updates the classes colour by
+    colour, and classes that share no component update together. Every sweep decodes an estimate and
     evaluates the dual. The solve stops at the first sweep whose dual g is
     within GAP_TOL * (1 + |g|) of the best decoded objective: that estimate
     is then a proven MAP and the dual is optimal to within the same

@@ -1,10 +1,18 @@
 """Exact inference on thin components: tempered marginals, max-marginals,
-decoding with tie detection, and Gaussian marginal information forms.
+decoding, and Gaussian marginal information forms.
 
-Each discrete component gets a junction tree from greedy min-fill
-elimination. Messages are cached per directed tree edge and recomputed
-lazily, so a potential update followed by a query only recomputes messages
-on the directed path between the touched clique and the queried one.
+Discrete components are batched by layout: the number of local vertices
+plus the local vertex tuple of every replica, in rid order. A layout fixes
+one junction tree, built by greedy min-fill elimination with every clique
+maximal. One `SubgraphEngine` holds every component of a layout as a row
+of a leading batch axis, so each query answers for all rows in a few array
+operations; a component with an irregular layout is a batch of one.
+Messages are cached per directed tree edge for the whole batch and
+recomputed lazily, so a potential update followed by a query only
+recomputes messages on the directed path between the touched clique and
+the queried one. `messages_computed` counts one per batched reduction of a
+clique table: a message to a neighbouring clique, or the marginal table of
+a replica slot or of a vertex.
 
 Gaussian components are dense: a marginal information form is one Schur
 complement through a Cholesky factor of the eliminated block. A
@@ -14,13 +22,14 @@ value all come from one factor of its active block (`factor_active`).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dtrtri
 
-from .models import NotPositiveDefiniteError
+from .models import LABELS, NotPositiveDefiniteError
 
 TAU_FLOOR = 1e-9
 # A vertex whose two max-marginal values differ by less than this is tied.
@@ -77,176 +86,242 @@ def min_fill_order(nbrs: list[set[int]]):
 
 
 def _build_junction_tree(n_local: int, hyperedges: list[tuple[int, ...]]):
-    """Elimination cliques linked by the running-intersection property.
+    """Maximal elimination cliques linked by the running-intersection property.
 
     Returns (cliques, nbrs, seps, clique_of_edge, clique_of_vertex).
     """
     order, _, elim = min_fill_order(neighbour_sets(n_local, hyperedges))
     pos = {v: i for i, v in enumerate(order)}
-    elim_clique = [tuple(sorted(c)) for c in elim]
+    members = [set(c) for c in elim]
     # A hyperedge belongs to the clique of its first eliminated vertex.
-    assigned = [min(pos[v] for v in e) for e in hyperedges]
+    home = [min(pos[v] for v in e) for e in hyperedges]
 
-    # Parent of clique i: the clique of the next-eliminated vertex in C_i - v_i.
-    parent = [None] * len(order)
+    # Elimination tree: clique i joins the clique of the next-eliminated
+    # vertex in C_i - v_i.
+    nbrs = [set() for _ in order]
     for i, v in enumerate(order):
-        rest = [u for u in elim_clique[i] if u != v]
+        rest = [pos[u] for u in elim[i] if u != v]
         if rest:
-            nxt = min(rest, key=lambda u: pos[u])
-            parent[i] = pos[nxt]
+            p = min(rest)
+            nbrs[i].add(p)
+            nbrs[p].add(i)
 
-    # Absorb non-maximal cliques into their parent.
-    merged_into = list(range(len(order)))
+    # Absorb every clique that is a subset of a tree neighbour, in either
+    # direction. The superset takes over the subset's other neighbours,
+    # which keeps running intersection.
+    into = list(range(len(order)))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(order)):
+            if into[i] != i:
+                continue
+            j = next((j for j in sorted(nbrs[i]) if members[i] <= members[j]), None)
+            if j is None:
+                continue
+            into[i] = j
+            for k in nbrs[i] - {j}:
+                nbrs[k].discard(i)
+                nbrs[k].add(j)
+                nbrs[j].add(k)
+            nbrs[j].discard(i)
+            nbrs[i] = set()
+            changed = True
 
     def resolve(i):
-        while merged_into[i] != i:
-            i = merged_into[i]
+        while into[i] != i:
+            i = into[i]
         return i
 
-    for i in range(len(order)):
-        p = parent[i]
-        if p is not None and set(elim_clique[i]) <= set(elim_clique[resolve(p)]):
-            merged_into[i] = resolve(p)
-
-    keep = sorted({resolve(i) for i in range(len(order))})
+    keep = [i for i in range(len(order)) if into[i] == i]
     newid = {old: k for k, old in enumerate(keep)}
-    cliques = [elim_clique[old] for old in keep]
-    tree_nbrs = [set() for _ in cliques]
-    for i in range(len(order)):
-        p = parent[i]
-        if p is None:
-            continue
-        a, b = newid[resolve(i)], newid[resolve(p)]
-        if a != b:
-            tree_nbrs[a].add(b)
-            tree_nbrs[b].add(a)
-    seps = {}
-    for a in range(len(cliques)):
-        for b in tree_nbrs[a]:
-            seps[(a, b)] = tuple(sorted(set(cliques[a]) & set(cliques[b])))
-    clique_of_edge = [newid[resolve(s)] for s in assigned]
+    cliques = [tuple(sorted(members[old])) for old in keep]
+    tree_nbrs = [sorted(newid[j] for j in nbrs[old]) for old in keep]
+    seps = {
+        (a, b): tuple(sorted(set(cliques[a]) & set(cliques[b])))
+        for a in range(len(cliques))
+        for b in tree_nbrs[a]
+    }
+    clique_of_edge = [newid[resolve(i)] for i in home]
     clique_of_vertex = [None] * n_local
     for ci, c in enumerate(cliques):
         for v in c:
             if clique_of_vertex[v] is None:
                 clique_of_vertex[v] = ci
-    return (
-        cliques,
-        [sorted(s) for s in tree_nbrs],
-        seps,
-        clique_of_edge,
-        clique_of_vertex,
-    )
+    return cliques, tree_nbrs, seps, clique_of_edge, clique_of_vertex
+
+
+# Tables carry a leading batch axis: axis 0 is the row, and axis i + 1 the
+# i-th variable of the table's variable tuple.
+
+
+@functools.lru_cache(maxsize=None)
+def _expand_plan(src_vars, dst_vars):
+    pos = {v: i for i, v in enumerate(dst_vars)}
+    order = sorted(range(len(src_vars)), key=lambda k: pos[src_vars[k]])
+    shape = tuple(2 if v in src_vars else 1 for v in dst_vars)
+    return (0, *(k + 1 for k in order)), shape
 
 
 def _expand(table: np.ndarray, src_vars, dst_vars) -> np.ndarray:
-    """Broadcast a table over src_vars to the axis layout of dst_vars."""
-    pos = {v: i for i, v in enumerate(dst_vars)}
-    order = sorted(range(len(src_vars)), key=lambda k: pos[src_vars[k]])
-    t = np.transpose(table, order)
-    src = set(src_vars)
-    shape = tuple(2 if v in src else 1 for v in dst_vars)
-    return t.reshape(shape)
+    """Broadcast batched tables over src_vars to the axis layout of dst_vars."""
+    perm, shape = _expand_plan(src_vars, dst_vars)
+    return np.transpose(table, perm).reshape((table.shape[0], *shape))
 
 
-def _lse(a: np.ndarray, axis) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
-    return out
+def _lse(a: np.ndarray, axes) -> np.ndarray:
+    """log-sum-exp over `axes`, which are kept with size 1."""
+    m = a.max(axis=axes, keepdims=True)
+    return m + np.log(np.exp(a - m).sum(axis=axes, keepdims=True))
+
+
+@functools.lru_cache(maxsize=None)
+def _reduce_plan(src_vars, keep_vars):
+    axes = tuple(i + 1 for i, v in enumerate(src_vars) if v not in keep_vars)
+    left = [v for v in src_vars if v in keep_vars]
+    perm = [left.index(v) for v in keep_vars]
+    return axes, None if perm == sorted(perm) else (0, *(p + 1 for p in perm))
 
 
 def _reduce(table: np.ndarray, src_vars, keep_vars, mode: str) -> np.ndarray:
-    keep = set(keep_vars)
-    axes = tuple(i for i, v in enumerate(src_vars) if v not in keep)
+    """Batched tables over src_vars, summed (log-sum-exp) or maximized down to
+    keep_vars, in keep_vars order."""
+    axes, perm = _reduce_plan(src_vars, keep_vars)
     if axes:
-        table = _lse(table, axes) if mode == "sum" else np.max(table, axis=axes)
-    left = [v for v in src_vars if v in keep]
-    perm = [left.index(v) for v in keep_vars]
-    return np.transpose(table, perm) if perm != list(range(len(perm))) else table
+        if mode == "sum":
+            table = _lse(table, axes).squeeze(axis=axes)
+        else:
+            table = table.max(axis=axes)
+    return table if perm is None else np.transpose(table, perm)
 
 
 class SubgraphEngine:
-    """Exact inference state for one thin component.
+    """Exact inference for every thin component with one local layout.
 
-    Holds the component's replica tables (aliased with the augmented
-    model), its junction tree, and per-semiring message caches. The engine
-    is single-writer: updates go through add_to_table.
+    A layout is `n_local` plus the local vertex tuple of every replica, in
+    rid order; it fixes one junction tree. Each component is one row of a
+    leading batch axis: row b is component `components[b]`, its local
+    vertex i is augmented vertex `aug_vertices[b, i]`, and its replica in
+    slot s is `rids[b, s]`, with local vertices `edges[s]`. `tables[s]`
+    stacks slot s's tables over the rows, and the augmented model's table
+    of each replica is a view of its row. Potentials, messages and beliefs
+    are cached per clique for the whole batch, and every query returns one
+    result per row. The engine is single-writer: updates go through
+    `add_to_slot` or `add_to_table`.
     """
 
-    def __init__(self, n_local: int, entries, aug_vertices=None):
-        # entries: iterable of (rid, local vertex tuple, table array)
+    def __init__(self, n_local: int, edges, tables, aug_vertices, rids, components):
         self.n_local = n_local
-        self.aug_vertices = aug_vertices
-        self.tables: dict[int, np.ndarray] = {}
-        self.edge_vars: dict[int, tuple[int, ...]] = {}
-        hyperedges = []
-        self._rids = []
-        for rid, verts, table in entries:
-            self.tables[rid] = table
-            self.edge_vars[rid] = tuple(verts)
-            hyperedges.append(tuple(sorted(verts)))
-            self._rids.append(rid)
+        self.edges = [tuple(e) for e in edges]
+        self.tables: list[np.ndarray] = list(tables)
+        self.aug_vertices = np.asarray(aug_vertices, dtype=int).reshape(-1, n_local)
+        self.size = len(self.aug_vertices)
+        self.rids = np.asarray(rids, dtype=int).reshape(self.size, len(self.edges))
+        self.components = np.asarray(components, dtype=int)
+        # rid -> (slot, row)
+        self.where = {int(r): (s, b) for (b, s), r in np.ndenumerate(self.rids)}
         (
             self.cliques,
             self.nbrs,
             self.seps,
-            clique_of_edge,
+            self.owner,
             self.clique_of_vertex,
-        ) = _build_junction_tree(n_local, hyperedges)
-        self.owner = {rid: clique_of_edge[i] for i, rid in enumerate(self._rids)}
+        ) = _build_junction_tree(n_local, [tuple(sorted(e)) for e in self.edges])
         self._members = [[] for _ in self.cliques]
-        for rid in self._rids:
-            self._members[self.owner[rid]].append(rid)
+        for s, cid in enumerate(self.owner):
+            self._members[cid].append(s)
+        self._backtrack = self._backtrack_plan()
         self._pots: dict[int, np.ndarray] = {}
-        self._sum_msgs: dict[tuple[int, int], np.ndarray] = {}
+        self._msgs: dict[str, dict] = {"sum": {}, "max": {}}
+        self._beliefs: dict[str, dict] = {"sum": {}, "max": {}}
         self._sum_tau: float | None = None
-        self._max_msgs: dict[tuple[int, int], np.ndarray] = {}
         self.messages_computed = 0
+
+    def _backtrack_plan(self):
+        """(parent, clique, axis order, separator, free vertices) for every
+        non-root clique, parents first. The axis order puts the separator
+        vertices before the free ones, each in clique order."""
+        plan = []
+        stack = [0]
+        seen = {0}
+        while stack:
+            a = stack.pop()
+            for c in self.nbrs[a]:
+                if c in seen:
+                    continue
+                seen.add(c)
+                cv = self.cliques[c]
+                sep = [v for v in cv if v in self.seps[(a, c)]]
+                free = [v for v in cv if v not in self.seps[(a, c)]]
+                perm = (0, *(cv.index(v) + 1 for v in sep + free))
+                plan.append((a, c, perm, sep, free))
+                stack.append(c)
+        return plan
 
     # -- potential updates --------------------------------------------------
 
+    def add_to_slot(self, slot: int, rows, delta: np.ndarray) -> None:
+        """Add `delta` to the tables of `slot` at `rows` (an index or an
+        index array)."""
+        self.tables[slot][rows] += delta
+        self._touch(self.owner[slot])
+
     def add_to_table(self, rid: int, delta: np.ndarray) -> None:
-        self.tables[rid] += delta
-        self._touch(self.owner[rid])
+        self.add_to_slot(*self.where[rid], delta)
 
     def _touch(self, cid: int) -> None:
         self._pots.pop(cid, None)
-        # Drop every message directed away from cid.
-        seen = {cid}
-        stack = [cid]
+        for beliefs in self._beliefs.values():
+            beliefs.pop(cid, None)
+        # Drop every message directed away from cid, and the beliefs that
+        # read them. A message is cached only after its inputs and dropped
+        # with any of them, so each cache is closed downstream: the walk
+        # stops at the first message that neither cache holds.
+        stack = [(cid, None)]
         while stack:
-            a = stack.pop()
+            a, prev = stack.pop()
             for b in self.nbrs[a]:
-                if b in seen:
+                if b == prev:
                     continue
-                seen.add(b)
-                self._sum_msgs.pop((a, b), None)
-                self._max_msgs.pop((a, b), None)
-                stack.append(b)
+                dropped = False
+                for mode, msgs in self._msgs.items():
+                    if msgs.pop((a, b), None) is not None:
+                        self._beliefs[mode].pop(b, None)
+                        dropped = True
+                if dropped:
+                    stack.append((b, a))
 
     def _pot(self, cid: int) -> np.ndarray:
         p = self._pots.get(cid)
         if p is None:
             cv = self.cliques[cid]
-            p = np.zeros((2,) * len(cv))
-            for rid in self._members[cid]:
-                p = p + _expand(self.tables[rid], self.edge_vars[rid], cv)
+            p = np.zeros((self.size,) + (2,) * len(cv))
+            for s in self._members[cid]:
+                p = p + _expand(self.tables[s], self.edges[s], cv)
             self._pots[cid] = p
         return p
 
     # -- message passing ----------------------------------------------------
 
-    def _cache(self, mode: str, tau: float | None):
-        if mode == "sum":
-            if tau != self._sum_tau:
-                self._sum_msgs.clear()
-                self._sum_tau = tau
-            return self._sum_msgs
-        return self._max_msgs
+    def _cache(self, mode: str, tau: float | None) -> dict:
+        if mode == "sum" and tau != self._sum_tau:
+            self._msgs["sum"].clear()
+            self._beliefs["sum"].clear()
+            self._sum_tau = tau
+        return self._msgs[mode]
 
-    def _scaled_pot(self, cid: int, mode: str, tau: float | None) -> np.ndarray:
-        p = self._pot(cid)
-        return p / tau if mode == "sum" else p
+    def _incoming(self, cid: int, mode: str, tau: float | None, skip=None) -> np.ndarray:
+        """Scaled potential of cid plus its cached incoming messages, except
+        the one from `skip`."""
+        acc = self._pot(cid)
+        if mode == "sum":
+            acc = acc / tau
+        cv = self.cliques[cid]
+        msgs = self._msgs[mode]
+        for k in self.nbrs[cid]:
+            if k != skip:
+                acc = acc + _expand(msgs[(k, cid)], self.seps[(k, cid)], cv)
+        return acc
 
     def _ensure_msgs(self, cache, targets, mode, tau):
         stack = list(targets)
@@ -262,111 +337,113 @@ class SubgraphEngine:
                 if k != b and (k, a) not in cache:
                     stack.append((k, a))
         for a, b in reversed(pending):
-            acc = self._scaled_pot(a, mode, tau)
-            cv = self.cliques[a]
-            for k in self.nbrs[a]:
-                if k != b:
-                    acc = acc + _expand(cache[(k, a)], self.seps[(k, a)], cv)
-            cache[(a, b)] = _reduce(acc, cv, self.seps[(a, b)], mode)
+            acc = self._incoming(a, mode, tau, skip=b)
+            cache[(a, b)] = _reduce(acc, self.cliques[a], self.seps[(a, b)], mode)
             self.messages_computed += 1
 
     def _belief(self, cid: int, mode: str, tau: float | None) -> np.ndarray:
         cache = self._cache(mode, tau)
-        self._ensure_msgs(cache, [(k, cid) for k in self.nbrs[cid]], mode, tau)
-        acc = self._scaled_pot(cid, mode, tau)
-        cv = self.cliques[cid]
-        for k in self.nbrs[cid]:
-            acc = acc + _expand(cache[(k, cid)], self.seps[(k, cid)], cv)
-        return acc
+        beliefs = self._beliefs[mode]
+        b = beliefs.get(cid)
+        if b is None:
+            self._ensure_msgs(cache, [(k, cid) for k in self.nbrs[cid]], mode, tau)
+            b = beliefs[cid] = self._incoming(cid, mode, tau)
+        return b
 
-    # -- queries ------------------------------------------------------------
+    # -- queries: one result per row -------------------------------------------
 
-    def log_partition(self, tau: float) -> float:
-        """Component contribution to the smooth dual: tau * log-sum-exp(f/tau)."""
+    @staticmethod
+    def _check_tau(tau: float) -> None:
         if tau < TAU_FLOOR:
             raise ValueError(f"temperature {tau} below floor {TAU_FLOOR}")
+
+    def log_partition(self, tau: float) -> np.ndarray:
+        """Contribution of each component to the smooth dual:
+        tau * log-sum-exp(f/tau)."""
+        self._check_tau(tau)
         b = self._belief(0, "sum", tau)
-        return float(tau * _lse(b, tuple(range(b.ndim))))
+        return tau * _lse(b, tuple(range(1, b.ndim))).reshape(self.size)
 
-    def log_marginal(self, rid: int, tau: float) -> np.ndarray:
-        """Normalized log marginal table of a replica edge at temperature tau."""
-        if tau < TAU_FLOOR:
-            raise ValueError(f"temperature {tau} below floor {TAU_FLOOR}")
-        b = self._belief(self.owner[rid], "sum", tau)
-        t = _reduce(b, self.cliques[self.owner[rid]], self.edge_vars[rid], "sum")
-        return t - _lse(t, tuple(range(t.ndim)))
+    def log_marginal(self, slot: int, tau: float) -> np.ndarray:
+        """Normalized log marginal tables of replica slot `slot` at
+        temperature tau."""
+        self._check_tau(tau)
+        cid = self.owner[slot]
+        t = _reduce(self._belief(cid, "sum", tau), self.cliques[cid], self.edges[slot], "sum")
+        self.messages_computed += 1
+        return t - _lse(t, tuple(range(1, t.ndim)))
 
-    def max_marginal(self, rid: int) -> np.ndarray:
-        """Unnormalized max-marginal table of a replica edge."""
-        b = self._belief(self.owner[rid], "max", None)
-        return _reduce(b, self.cliques[self.owner[rid]], self.edge_vars[rid], "max")
+    def max_marginal(self, slot: int) -> np.ndarray:
+        """Unnormalized max-marginal tables of replica slot `slot`."""
+        cid = self.owner[slot]
+        self.messages_computed += 1
+        return _reduce(self._belief(cid, "max", None), self.cliques[cid], self.edges[slot], "max")
 
-    def vertex_max_marginal(self, v_local: int) -> np.ndarray:
-        cid = self.clique_of_vertex[v_local]
-        b = self._belief(cid, "max", None)
-        return _reduce(b, self.cliques[cid], (v_local,), "max")
+    def vertex_max_marginal(self) -> np.ndarray:
+        """Max-marginal of every local vertex, shape (rows, n_local, 2)."""
+        out = np.empty((self.size, self.n_local, 2))
+        for v, cid in enumerate(self.clique_of_vertex):
+            out[:, v] = _reduce(self._belief(cid, "max", None), self.cliques[cid], (v,), "max")
+        self.messages_computed += self.n_local
+        return out
 
-    def component_max(self) -> float:
-        return float(np.max(self._belief(0, "max", None)))
+    def component_max(self) -> np.ndarray:
+        b = self._belief(0, "max", None)
+        return np.max(b, axis=tuple(range(1, b.ndim)))
 
     def map_assignment(self) -> np.ndarray:
-        """One maximizer by max-product backtracking.
+        """One maximizer per row by max-product backtracking, shape
+        (rows, n_local).
 
         Argmax tie-breaks take the first maximizing index, which prefers +1.
         """
-        from .models import LABELS
-
-        assign = np.zeros(self.n_local)
+        rows = np.arange(self.size)
+        state = np.zeros((self.size, self.n_local), dtype=int)
         b = self._belief(0, "max", None)
-        idx = np.unravel_index(int(np.argmax(b)), b.shape)
-        for v, i in zip(self.cliques[0], idx):
-            assign[v] = LABELS[i]
-        cache = self._cache("max", None)
-        visited = {0}
-        stack = [0]
-        while stack:
-            a = stack.pop()
-            for c in self.nbrs[a]:
-                if c in visited:
-                    continue
-                visited.add(c)
-                cv = self.cliques[c]
-                acc = self._scaled_pot(c, "max", None)
-                for k in self.nbrs[c]:
-                    if k != a:
-                        self._ensure_msgs(cache, [(k, c)], "max", None)
-                        acc = acc + _expand(cache[(k, c)], self.seps[(k, c)], cv)
-                sel = tuple(
-                    slice(None) if v not in self.seps[(a, c)] else int((1 - assign[v]) / 2)
-                    for v in cv
-                )
-                sub = acc[sel]
-                free = [v for v in cv if v not in self.seps[(a, c)]]
-                if free:
-                    idx = np.unravel_index(int(np.argmax(sub)), sub.shape)
-                    for v, i in zip(free, idx):
-                        assign[v] = LABELS[i]
-                stack.append(c)
-        return assign
+        _set_bits(state, self.cliques[0], np.argmax(b.reshape(self.size, -1), axis=1))
+        for a, c, perm, sep, free in self._backtrack:
+            acc = np.transpose(self._incoming(c, "max", None, skip=a), perm)
+            acc = acc.reshape(self.size, 2 ** len(sep), 2 ** len(free))
+            at = state[:, sep] @ (1 << np.arange(len(sep))[::-1])
+            _set_bits(state, free, np.argmax(acc[rows, at], axis=1))
+        return LABELS[state]
+
+
+def _set_bits(state: np.ndarray, verts, index: np.ndarray) -> None:
+    """Write flat row-major indices over binary `verts` into `state`."""
+    state[:, verts] = (index[:, None] >> np.arange(len(verts))[::-1]) & 1
 
 
 def build_engines(aug) -> list[SubgraphEngine]:
-    """One engine per component of a DiscreteAugmented model."""
+    """One engine per local layout of the components of a DiscreteAugmented
+    model.
+
+    Components are rows in component order. Each replica's table in `aug`
+    is replaced by a view of its row in the engine's stacked tables.
+    """
     rmap = aug.rmap
     comps = rmap.component_vertices()
-    locals_ = [dict() for _ in comps]
+    rids_of = [[] for _ in comps]
+    for rid in range(len(rmap.replica_edges)):
+        rids_of[rmap.replica_component(rid)].append(rid)
+    layouts: dict[tuple, list[int]] = {}
     for ci, verts in enumerate(comps):
-        locals_[ci] = {v: i for i, v in enumerate(verts)}
-    entries = [[] for _ in comps]
-    for rid, e in enumerate(rmap.replica_edges):
-        ci = rmap.replica_component(rid)
-        entries[ci].append(
-            (rid, tuple(locals_[ci][v] for v in e), aug.tables[rid])
+        local = {v: i for i, v in enumerate(verts)}
+        edges = tuple(tuple(local[v] for v in rmap.replica_edges[r]) for r in rids_of[ci])
+        layouts.setdefault((len(verts), edges), []).append(ci)
+    engines = []
+    for (n_local, edges), cis in layouts.items():
+        rids = np.array([rids_of[ci] for ci in cis], dtype=int).reshape(len(cis), len(edges))
+        tables = []
+        for s in range(len(edges)):
+            stacked = np.stack([aug.tables[r] for r in rids[:, s]])
+            for b, r in enumerate(rids[:, s]):
+                aug.tables[r] = stacked[b]
+            tables.append(stacked)
+        engines.append(
+            SubgraphEngine(n_local, edges, tables, [comps[ci] for ci in cis], rids, cis)
         )
-    return [
-        SubgraphEngine(len(comps[ci]), entries[ci], aug_vertices=comps[ci])
-        for ci in range(len(comps))
-    ]
+    return engines
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,25 @@ def test_lift_project_examples():
 
 
 @given(st.integers(min_value=0, max_value=2**31))
+def test_projection_matches_replica_loop(seed):
+    rng = np.random.default_rng(seed)
+    m = generate_ising_grid(3, 1.0, "frustrated", seed=seed % 97)
+    strat = ["disjoint-edges", "spanning-trees", "tree-plus-leaves", "loops"][seed % 4]
+    rmap = build_decomposition(m.graph, strat)
+    x_aug = lift_assignment(rng.choice([-1.0, 1.0], size=m.n), rmap)
+    flips = rng.random(rmap.n_aug) < rng.choice([0.0, 0.05, 0.3])
+    x_aug[flips] *= -1
+    want = np.array([x_aug[reps[0]] for reps in rmap.vertex_replicas])
+    bad = [v for v, reps in enumerate(rmap.vertex_replicas) if np.any(x_aug[reps] != x_aug[reps[0]])]
+    got, violated = project_assignment(x_aug, rmap)
+    assert violated == bad
+    if bad:
+        assert got is None
+    else:
+        assert np.array_equal(got, want)
+
+
+@given(st.integers(min_value=0, max_value=2**31))
 def test_lifted_objective_matches(seed):
     rng = np.random.default_rng(seed)
     m = generate_ising_grid(4, 1.0, "frustrated", seed=seed % 97)

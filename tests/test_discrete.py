@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagrelax.decomposition import ReplicationMap, split_potentials
+from lagrelax.decomposition import STRATEGIES, DecompositionConfig, ReplicationMap, split_potentials
 from lagrelax.discrete import (
     DiscreteRelaxation,
     TemperatureSchedule,
@@ -38,6 +38,13 @@ def random_model(seed, n_max=8):
             if rng.random() < 0.4 or v == u + 1:
                 coeffs[(u, v)] = float(rng.normal(0, 1))
     return DiscreteFactorModel(Hypergraph(n, tuple(coeffs)), coeffs)
+
+
+def replica_table(relax, rid, tau=None):
+    """A replica's normalized log marginal at tau, or its max-marginal."""
+    eng = relax.engine_of_rid[rid]
+    slot, row = eng.where[rid]
+    return (eng.max_marginal(slot) if tau is None else eng.log_marginal(slot, tau))[row]
 
 
 def two_isolated_replicas(theta_v=0.0):
@@ -127,7 +134,7 @@ class TestGradient:
         relax = build_relaxation(m, "disjoint-edges")
         tau = 0.9
         cls = relax.classes[0]
-        tabs = relax._class_tables(cls.rids, tau)
+        tabs = {rid: tau * replica_table(relax, rid, tau) for rid in cls.rids}
         fbar = sum(tabs.values()) / len(cls.rids)
         for rid in cls.rids:
             relax.engine_of_rid[rid].add_to_table(rid, fbar - tabs[rid])
@@ -149,8 +156,8 @@ class TestTemperedSweep:
         assert resid == pytest.approx(t, abs=1e-12)
         assert np.allclose(relax.aug.tables[r0], 0.0, atol=1e-12)
         assert np.allclose(relax.aug.tables[r1], 0.0, atol=1e-12)
-        m0 = relax.engine_of_rid[r0].log_marginal(r0, 1.0)
-        m1 = relax.engine_of_rid[r1].log_marginal(r1, 1.0)
+        m0 = replica_table(relax, r0, 1.0)
+        m1 = replica_table(relax, r1, 1.0)
         assert np.allclose(m0, m1, atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -184,8 +191,8 @@ class TestMaxMarginalSweep:
         # normalized max-marginals are (0,-2) and (-2,0); average ties them
         resid = relax.sweep_max_marginal_averaging()
         assert resid == pytest.approx(1.0)
-        t0 = relax.engine_of_rid[r0].max_marginal(r0)
-        t1 = relax.engine_of_rid[r1].max_marginal(r1)
+        t0 = replica_table(relax, r0)
+        t1 = replica_table(relax, r1)
         assert np.allclose(t0 - np.max(t0), t1 - np.max(t1), atol=1e-12)
         assert abs(t0[0] - t0[1]) < 1e-12
 
@@ -217,7 +224,8 @@ class TestMaxMarginalSweep:
             tabs = []
             for rid in cls.rids:
                 eng = relax.engine_of_rid[rid]
-                tabs.append(eng.max_marginal(rid) + (g - eng.component_max()))
+                row = eng.where[rid][1]
+                tabs.append(replica_table(relax, rid) + (g - eng.component_max()[row]))
             fbar = sum(tabs) / len(tabs)
             true = np.full((2,) * len(e), -np.inf)
             for s in states:
@@ -452,3 +460,95 @@ def test_annealing_escapes_spurious_max_marginal_fixed_point():
     assert g_annealed < g_stalled - 1e-3
     f_star, _ = brute_force_map(m)
     assert g_annealed >= f_star - 1e-9
+
+
+def random_grid_model(seed):
+    """Node terms plus a random subset of the edges of a small grid."""
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    n = rows * cols
+    coeffs = {(v,): float(rng.normal(0, 1)) for v in range(n)}
+    for v in range(n):
+        for u, ok in ((v + 1, (v + 1) % cols != 0), (v + cols, v + cols < n)):
+            if ok and rng.random() < 0.8:
+                coeffs[(v, u)] = float(rng.normal(0, 1))
+    model = DiscreteFactorModel(Hypergraph(n, tuple(coeffs)), coeffs)
+    return model, DecompositionConfig(rows=rows, cols=cols, strip_width=2, overlap=1, block=2)
+
+
+def class_by_class_sweep(relax, tau):
+    """The colour order run one class at a time, each replica read and
+    updated on its own."""
+
+    def tables(rids):
+        out = {}
+        for rid in rids:
+            t = replica_table(relax, rid, tau)
+            out[rid] = t - np.max(t) if tau is None else tau * t
+        return out
+
+    resids = []
+    for colour in relax.colours:
+        for cls in colour.classes:
+            tabs = tables(cls.rids)
+            fbar = sum(tabs.values()) / len(cls.rids)
+            resids += [np.max(np.abs(tabs[r] - fbar)) for r in cls.rids]
+            if len(cls.groups) == 1:
+                for rid in cls.rids:
+                    relax.engine_of_rid[rid].add_to_table(rid, fbar - tabs[rid])
+                continue
+            for group in cls.groups:
+                gtabs = tables(group)
+                gbar = sum(gtabs.values()) / len(group)
+                for rid in group:
+                    relax.engine_of_rid[rid].add_to_table(rid, gbar - gtabs[rid])
+    return float(np.max(resids, initial=0.0))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_coloured_sweep_matches_class_by_class(strategy, seed):
+    model, cfg = random_grid_model(seed)
+    cfg.strategy = strategy
+    batched = build_relaxation(model, cfg)
+    reference = build_relaxation(model, cfg)
+    comp = batched.rmap.replica_component
+    arities = []
+    for colour in batched.colours:
+        arity = {len(c.edge) for c in colour.classes}
+        assert len(arity) == 1
+        arities += arity
+        if colour.hub_groups:
+            assert len(colour.classes) == 1
+            continue
+        comps = [comp(r) for c in colour.classes for r in c.rids]
+        assert len(comps) == len(set(comps))
+    assert arities == sorted(arities)
+    assert sorted(c.oid for col in batched.colours for c in col.classes) == sorted(
+        c.oid for c in batched.classes
+    )
+
+    for tau in (1.0, 0.5, None, None):
+        if tau is None:
+            got = batched.sweep_max_marginal_averaging()
+        else:
+            got = batched.sweep_log_marginal_averaging(tau)
+        assert got == pytest.approx(class_by_class_sweep(reference, tau), abs=1e-12)
+        for a, b in zip(batched.aug.tables, reference.aug.tables):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    rep = solve_discrete(model, cfg)
+    if rep.stop_reason == "certified":
+        assert rep.best_primal == brute_force_map(model)[0]
+
+
+def test_nan_in_one_row_of_a_batch():
+    relax = build_relaxation(generate_ising_grid(3, 1.0, "attractive", seed=0), "disjoint-edges")
+    (eng,) = relax.engines
+    assert eng.size == 12
+    rid = int(eng.rids[5, 0])
+    eng.add_to_table(rid, np.full_like(relax.aug.tables[rid], np.nan))
+    assert np.isnan(relax.aug.tables[rid]).all()
+    assert np.isnan(relax.sweep_log_marginal_averaging(1.0))
+    assert np.isnan(relax.sweep_max_marginal_averaging())

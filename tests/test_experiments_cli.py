@@ -109,10 +109,13 @@ class TestCli:
         model = generate_ising_grid(3, 1.0, "attractive", seed=0)
         mpath = tmp_path / "m.txt"
         write_model(model, mpath)
-        rc = main(["solve", "--model", str(mpath), "--dump-jt"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "component 0" in out and "cliques:" in out
+        # one line per component, also when one engine batches them all
+        for strategy, components in (("spanning-trees", 2), ("disjoint-edges", 12)):
+            rc = main(["solve", "--model", str(mpath), "--strategy", strategy, "--dump-jt"])
+            assert rc == 0
+            lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("component ")]
+            assert [ln.split(":")[0] for ln in lines] == [f"component {i}" for i in range(components)]
+            assert all("cliques:" in ln for ln in lines)
 
     def test_gsolve(self, tmp_path, capsys):
         model = generate_thin_membrane(4, 0.05, seed=1)

@@ -2,10 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lagrelax.decomposition import build_decomposition, split_potentials
+from lagrelax.decomposition import (
+    STRATEGIES,
+    DecompositionConfig,
+    build_augmented,
+    build_decomposition,
+    split_potentials,
+)
+from lagrelax.generators import generate_ising_grid
 from lagrelax.inference import (
+    SubgraphEngine,
     build_engines,
     gaussian_component_mean,
     gaussian_marginal_info,
@@ -31,8 +39,23 @@ def single_engine(model):
     rmap = build_decomposition(model.graph, "spanning-trees")
     aug = split_potentials(model, rmap)
     engines = build_engines(aug)
-    assert len(engines) == 1
+    assert len(engines) == 1 and engines[0].size == 1
     return engines[0]
+
+
+def log_marginal(eng, rid, tau):
+    slot, row = eng.where[rid]
+    return eng.log_marginal(slot, tau)[row]
+
+
+def max_marginal(eng, rid):
+    slot, row = eng.where[rid]
+    return eng.max_marginal(slot)[row]
+
+
+def rid_at_vertex(eng, v):
+    """The singleton replica at local vertex v of a one-row engine."""
+    return next(int(eng.rids[0, s]) for s, e in enumerate(eng.edges) if e == (v,))
 
 
 def brute_tables(model, tau):
@@ -62,15 +85,15 @@ class TestTemperedMarginals:
         coeffs = {(0,): 0.0}
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), coeffs)
         eng = single_engine(m)
-        (rid,) = eng.tables
-        assert np.allclose(eng.log_marginal(rid, 1.0), np.log(0.5))
-        assert eng.log_partition(1.0) == pytest.approx(np.log(2.0))
+        (rid,) = eng.where
+        assert np.allclose(log_marginal(eng, rid, 1.0), np.log(0.5))
+        assert eng.log_partition(1.0)[0] == pytest.approx(np.log(2.0))
 
     def test_single_node_potential(self):
         t = 0.8
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): t})
         eng = single_engine(m)
-        assert eng.log_partition(1.0) == pytest.approx(np.log(np.exp(t) + np.exp(-t)))
+        assert eng.log_partition(1.0)[0] == pytest.approx(np.log(np.exp(t) + np.exp(-t)))
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_chain_matches_enumeration(self, seed):
@@ -79,11 +102,11 @@ class TestTemperedMarginals:
         tau = float(rng.uniform(0.2, 2.0))
         eng = single_engine(m)
         want_tables, want_logZ = brute_tables(m, tau)
-        assert eng.log_partition(tau) == pytest.approx(want_logZ, abs=1e-12)
+        assert eng.log_partition(tau)[0] == pytest.approx(want_logZ, abs=1e-12)
         rmap_edges = {}
-        for rid, e in eng.edge_vars.items():
-            orig = tuple(sorted(eng.aug_vertices[v] for v in e))
-            rmap_edges[orig] = eng.log_marginal(rid, tau)
+        for rid, (slot, row) in eng.where.items():
+            orig = tuple(sorted(int(eng.aug_vertices[row, v]) for v in eng.edges[slot]))
+            rmap_edges[orig] = log_marginal(eng, rid, tau)
         for e, want in want_tables.items():
             assert np.max(np.abs(rmap_edges[e] - want)) < 1e-12
 
@@ -98,14 +121,14 @@ class TestMaxMarginals:
     def test_single_node(self):
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): 0.7})
         eng = single_engine(m)
-        (rid,) = eng.tables
-        assert np.allclose(eng.max_marginal(rid), [0.7, -0.7])
-        assert eng.component_max() == pytest.approx(0.7)
+        (rid,) = eng.where
+        assert np.allclose(max_marginal(eng, rid), [0.7, -0.7])
+        assert eng.component_max()[0] == pytest.approx(0.7)
 
     def test_middle_of_repulsive_chain(self):
         m = chain_model([0.0, 0.0, 0.0], [-1.0, -1.0])
         eng = single_engine(m)
-        t = eng.vertex_max_marginal(1)
+        t = eng.vertex_max_marginal()[0, 1]
         assert np.allclose(t, [2.0, 2.0])
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -113,9 +136,9 @@ class TestMaxMarginals:
         rng = np.random.default_rng(seed)
         m = chain_model(rng.normal(size=4), rng.normal(size=3))
         eng = single_engine(m)
-        cmax = eng.component_max()
-        for rid in eng.tables:
-            assert np.max(eng.max_marginal(rid)) == pytest.approx(cmax, abs=1e-12)
+        cmax = eng.component_max()[0]
+        for rid in eng.where:
+            assert np.max(max_marginal(eng, rid)) == pytest.approx(cmax, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_tempered_limit_approaches_max_marginals(self, seed):
@@ -123,10 +146,10 @@ class TestMaxMarginals:
         m = chain_model(rng.normal(size=3), rng.normal(size=2))
         eng = single_engine(m)
         tau = 1e-3
-        logZ = eng.log_partition(tau)
-        for rid in list(eng.tables):
-            approx = tau * eng.log_marginal(rid, tau) + logZ
-            exact = eng.max_marginal(rid)
+        logZ = eng.log_partition(tau)[0]
+        for rid in eng.where:
+            approx = tau * log_marginal(eng, rid, tau) + logZ
+            exact = max_marginal(eng, rid)
             assert np.max(np.abs(approx - exact)) < 1e-2
 
 
@@ -134,25 +157,25 @@ class TestComponentMap:
     def test_positive_single_node(self):
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): 0.5})
         eng = single_engine(m)
-        t = eng.vertex_max_marginal(0)
-        assert eng.map_assignment()[0] == 1.0 and t[0] - t[1] == pytest.approx(1.0)
+        t = eng.vertex_max_marginal()[0, 0]
+        assert eng.map_assignment()[0, 0] == 1.0 and t[0] - t[1] == pytest.approx(1.0)
 
     def test_zero_breaks_to_plus_one(self):
         m = DiscreteFactorModel(Hypergraph(1, ((0,),)), {(0,): 0.0})
         eng = single_engine(m)
-        t = eng.vertex_max_marginal(0)
-        assert eng.map_assignment()[0] == 1.0 and t[0] == t[1]
+        t = eng.vertex_max_marginal()[0, 0]
+        assert eng.map_assignment()[0, 0] == 1.0 and t[0] == t[1]
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_assignment_attains_component_max(self, seed):
         rng = np.random.default_rng(seed)
         m = chain_model(rng.normal(size=4), [-1.0, 1.0, -1.0])
         eng = single_engine(m)
-        assign = eng.map_assignment()
-        x = np.array([assign[eng.aug_vertices.index(v)] for v in range(4)])
+        assign = eng.map_assignment()[0]
+        x = np.array([assign[list(eng.aug_vertices[0]).index(v)] for v in range(4)])
         from lagrelax.models import evaluate_objective
 
-        assert evaluate_objective(m, x) == pytest.approx(eng.component_max(), abs=1e-12)
+        assert evaluate_objective(m, x) == pytest.approx(eng.component_max()[0], abs=1e-12)
 
 
 class TestMessageCache:
@@ -164,37 +187,107 @@ class TestMessageCache:
         eng = single_engine(m)
         eng.log_partition(1.0)  # warm the cache
         warm = eng.messages_computed
-        rid0 = next(r for r, e in eng.edge_vars.items() if len(e) == 1 and e[0] == 0)
-        rid4 = next(r for r, e in eng.edge_vars.items() if len(e) == 1 and e[0] == 4)
-        eng.add_to_table(rid0, monomial_table(0.3, 1))
-        eng.log_marginal(rid4, 1.0)
-        path_len = eng.messages_computed - warm
-        assert path_len == len(eng.cliques) - 1  # one directed path over the tree
+        eng.add_to_table(rid_at_vertex(eng, 0), monomial_table(0.3, 1))
+        log_marginal(eng, rid_at_vertex(eng, 4), 1.0)
+        computed = eng.messages_computed - warm
+        # one directed path over the tree, then the queried marginal
+        assert computed == (len(eng.cliques) - 1) + 1
 
     def test_recompute_matches_fresh_engine(self):
         rng = np.random.default_rng(2)
         m = chain_model(rng.normal(size=5), rng.normal(size=4))
         eng = single_engine(m)
         eng.log_partition(1.0)
-        rid2 = next(r for r, e in eng.edge_vars.items() if len(e) == 1 and e[0] == 2)
         delta = monomial_table(-0.4, 1)
-        eng.add_to_table(rid2, delta)
+        eng.add_to_table(rid_at_vertex(eng, 2), delta)
 
         eng2 = single_engine(m)
-        eng2.add_to_table(
-            next(r for r, e in eng2.edge_vars.items() if len(e) == 1 and e[0] == 2), delta
-        )
-        assert eng.log_partition(1.0) == pytest.approx(eng2.log_partition(1.0), abs=1e-12)
-        for rid in eng.tables:
-            assert np.max(np.abs(eng.log_marginal(rid, 1.0) - eng2.log_marginal(rid, 1.0))) < 1e-12
+        eng2.add_to_table(rid_at_vertex(eng2, 2), delta)
+        assert eng.log_partition(1.0)[0] == pytest.approx(eng2.log_partition(1.0)[0], abs=1e-12)
+        for rid in eng.where:
+            assert np.max(np.abs(log_marginal(eng, rid, 1.0) - log_marginal(eng2, rid, 1.0))) < 1e-12
 
     def test_tau_change_flushes_sum_cache(self):
         rng = np.random.default_rng(3)
         m = chain_model(rng.normal(size=4), rng.normal(size=3))
         eng = single_engine(m)
-        z1 = eng.log_partition(1.0)
-        z2 = eng.log_partition(0.5)
+        z1 = eng.log_partition(1.0)[0]
+        z2 = eng.log_partition(0.5)[0]
         assert z2 < z1  # smooth value decreases with temperature
+
+
+def grid_engines(strategy, m=3, seed=0):
+    model = generate_ising_grid(m, 1.0, "frustrated", seed=seed)
+    cfg = DecompositionConfig(strategy=strategy, rows=m, cols=m, strip_width=2, overlap=1, block=2)
+    return build_engines(build_augmented(model, cfg))
+
+
+class TestJunctionTree:
+    @pytest.mark.parametrize("strategy, cliques", [("disjoint-edges", 1), ("loops", 2)])
+    def test_one_clique_per_edge_two_per_cycle(self, strategy, cliques):
+        (eng,) = grid_engines(strategy)
+        assert len(eng.cliques) == cliques
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_maximal_cliques_with_running_intersection(self, strategy):
+        for eng in grid_engines(strategy, m=4, seed=1):
+            cliques = [set(c) for c in eng.cliques]
+            for i, a in enumerate(cliques):
+                assert not any(a <= b for j, b in enumerate(cliques) if j != i)
+            # a tree: connected, with one edge fewer than cliques
+            assert sum(len(n) for n in eng.nbrs) == 2 * (len(cliques) - 1)
+            for (a, b), sep in eng.seps.items():
+                assert set(sep) == cliques[a] & cliques[b]
+            # the cliques holding any one vertex are connected in the tree
+            for v in range(eng.n_local):
+                holding = {i for i, c in enumerate(cliques) if v in c}
+                start = min(holding)
+                reached, stack = {start}, [start]
+                while stack:
+                    a = stack.pop()
+                    for b in eng.nbrs[a]:
+                        if b in holding and b not in reached:
+                            reached.add(b)
+                            stack.append(b)
+                assert reached == holding
+            for s, cid in enumerate(eng.owner):
+                assert set(eng.edges[s]) <= cliques[cid]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["spanning-trees", "loops", "thin-strips", "induced-blocks"]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_cached_messages_match_a_fresh_engine(strategy, seed):
+    # After random updates and queries, every cached message and belief
+    # equals the one a fresh engine computes from the same tables.
+    rng = np.random.default_rng(seed)
+    for eng in grid_engines(strategy, seed=seed % 50):
+        for _ in range(25):
+            op = rng.integers(5)
+            slot = int(rng.integers(len(eng.edges)))
+            if op == 0:
+                rows = rng.choice(eng.size, size=int(rng.integers(1, eng.size + 1)), replace=False)
+                eng.add_to_slot(slot, rows, rng.normal(size=eng.tables[slot][rows].shape))
+            elif op == 1:
+                eng.log_marginal(slot, float(rng.choice([1.0, 0.5])))
+            elif op == 2:
+                eng.max_marginal(slot)
+            elif op == 3:
+                eng.map_assignment()
+            else:
+                eng.vertex_max_marginal()
+        fresh = SubgraphEngine(
+            eng.n_local, eng.edges, [t.copy() for t in eng.tables], eng.aug_vertices, eng.rids, eng.components
+        )
+        for mode, tau in (("sum", eng._sum_tau), ("max", None)):
+            cache = fresh._cache(mode, tau)
+            for key, msg in eng._msgs[mode].items():
+                fresh._ensure_msgs(cache, [key], mode, tau)
+                assert np.array_equal(msg, cache[key])
+            for cid, belief in eng._beliefs[mode].items():
+                assert np.array_equal(belief, fresh._belief(cid, mode, tau))
 
 
 class TestMinFill:

@@ -1,12 +1,14 @@
 """The benchmark's per-layer tracer (perfbench/tracer.py, loaded as it is)
-still finds every name it times in the Gaussian and multiscale solvers."""
+still finds every name it times in the discrete, Gaussian and multiscale
+solvers."""
 
 import importlib.util
 from pathlib import Path
 
 from lagrelax.decomposition import DecompositionConfig
+from lagrelax.discrete import solve_discrete
 from lagrelax.gaussian import solve_gaussian
-from lagrelax.generators import generate_chain_membrane, generate_thin_membrane
+from lagrelax.generators import generate_chain_membrane, generate_ising_grid, generate_thin_membrane
 from lagrelax.multiscale import solve_multiscale
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -43,4 +45,24 @@ def test_gaussian_and_multiscale_metrics_present():
         "multiscale.cross_scale_s",
         "multiscale.means_s",
     ):
+        assert values[metric] > 0, metric
+
+
+def test_discrete_metrics_present():
+    layers = load_tracer().LayerTrace()
+    layers.install()
+    try:
+        report = solve_discrete(generate_ising_grid(3, 1.0, "frustrated", seed=0), "loops")
+        layers.count_report("discrete", report)
+    finally:
+        layers.uninstall()
+    values, absent = layers.metrics()
+    for metric in (
+        "inference.marginal_s",
+        "inference.decode_s",
+        "discrete.sweep_s",
+        "discrete.monitor_s",
+        "inference.messages",
+    ):
+        assert metric not in absent, metric
         assert values[metric] > 0, metric

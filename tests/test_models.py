@@ -56,6 +56,23 @@ def test_evaluate_invariant_under_edge_order(perm):
     assert v1 == pytest.approx(v2, abs=1e-14)
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+def test_evaluate_matches_term_loop_on_mixed_arity(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    coeffs = {(v,): float(rng.normal()) for v in range(n)}
+    for _ in range(int(rng.integers(0, 15))):
+        k = int(rng.integers(2, 5))
+        if k <= n:
+            coeffs[tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))] = float(rng.normal())
+    model = DiscreteFactorModel(Hypergraph(n, tuple(coeffs)), coeffs)
+    x = rng.choice([-1.0, 1.0], size=n)
+    total = 0.0
+    for e in model.graph.hyperedges:
+        total += model.theta(e) * np.prod(x[list(e)])
+    assert evaluate_objective(model, x) == pytest.approx(total, abs=1e-12)
+
+
 def test_hypergraph_validation():
     with pytest.raises(ModelError):
         Hypergraph(2, ((0,), (1,), (0, 1), (1, 0)))  # duplicate after sorting
