@@ -20,7 +20,6 @@ from .decomposition import (
     DecompositionError,
     ReplicationMap,
     UncoveredEdgeError,
-    add_intermediaries,
     build_decomposition,
     ensure_singletons,
     lift_assignment,

@@ -27,7 +27,6 @@ def _add_decomposition_args(p: argparse.ArgumentParser, default_strategy: str):
     p.add_argument("--block", type=int, default=3, help="induced block size")
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--treewidth-bound", type=int, default=12)
 
 
 def _decomposition_config(args) -> DecompositionConfig:
@@ -38,7 +37,6 @@ def _decomposition_config(args) -> DecompositionConfig:
         strip_width=args.K,
         overlap=args.L,
         block=args.block,
-        treewidth_bound=args.treewidth_bound,
     )
 
 
@@ -48,6 +46,7 @@ def _cmd_solve(args) -> int:
         print("solve expects a discrete model; use gsolve", file=sys.stderr)
         return 2
     config = _decomposition_config(args)
+    config.treewidth_bound = args.treewidth_bound
     if args.dump_jt:
         _dump_junction_trees(model, config)
     schedule = TemperatureSchedule(
@@ -152,6 +151,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="discrete dual solver with annealing")
     p.add_argument("--model", required=True)
     _add_decomposition_args(p, "spanning-trees")
+    p.add_argument("--treewidth-bound", type=int, default=12)
     p.add_argument("--tau0", type=float, default=1.0)
     p.add_argument("--decay", type=float, default=0.5)
     p.add_argument("--tau-min", dest="tau_min", type=float, default=1e-3)

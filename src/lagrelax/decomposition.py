@@ -4,13 +4,18 @@ splitting, and lift/projection between original and augmented assignments.
 A strategy replicates vertices and hyperedges so that every connected
 component of the augmented graph is thin. Singleton potentials are
 replicated at every copy of their vertex; larger hyperedges are placed by
-the strategy. The solvers then move Lagrange multipliers implicitly by
-mutating the split potentials inside the consistency subspace
-(sum over replicas == original potential).
+the strategy. A class whose replicas share a component also gets an
+intermediary hub replica in a component of its own. The geometric strategies
+(`loops`, `induced-blocks`, `thin-strips`) need `rows`/`cols` unless the
+vertex count is a perfect square. The solvers then move Lagrange multipliers
+implicitly by mutating the split potentials inside the consistency subspace
+(sum over replicas == original potential). Only discrete relaxations bound
+component width, on their engines' junction trees (`build_relaxation`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +56,8 @@ class DecompositionConfig:
     strip_width: int = 8  # K
     overlap: int = 2  # L
     block: int = 3
+    # Discrete relaxations only: the largest junction-tree clique of any
+    # component, minus one, that `discrete.build_relaxation` accepts.
     treewidth_bound: int | None = 12
 
     def __post_init__(self):
@@ -60,21 +67,57 @@ class DecompositionConfig:
             )
 
 
-def _grid_shape(n: int, config: DecompositionConfig) -> tuple[int, int]:
+def _grid_shape(n: int, config: DecompositionConfig) -> tuple[int, int] | None:
+    """(rows, cols) from the config, else a square shape when n is a perfect
+    square, else None."""
     if config.rows is not None and config.cols is not None:
         if config.rows * config.cols != n:
             raise DecompositionError(
                 f"rows*cols = {config.rows * config.cols} but n = {n}"
             )
         return config.rows, config.cols
-    r = int(np.sqrt(n))
-    if r * r == n and r > 1:
-        return r, r
-    return 1, n
+    r = math.isqrt(n)
+    return (r, r) if r * r == n else None
+
+
+def _required_grid_shape(n: int, config: DecompositionConfig) -> tuple[int, int]:
+    shape = _grid_shape(n, config)
+    if shape is None:
+        raise DecompositionError(
+            f"{config.strategy} needs the grid shape: n = {n} is not a perfect "
+            "square, so set rows and cols"
+        )
+    return shape
 
 
 def _grid_index(rows: int, cols: int):
     return lambda r, c: r * cols + c
+
+
+def _union_find(n: int):
+    """Parent list and path-halving `find` of n singleton sets; merge two
+    sets by `parent[find(a)] = find(b)`."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    return parent, find
+
+
+def _component_labels(n: int, hyperedges) -> np.ndarray:
+    """Connected-component label of each of n vertices joined by the
+    hyperedges, numbered in order of first vertex."""
+    parent, find = _union_find(n)
+    for e in hyperedges:
+        r = find(e[0])
+        for v in e[1:]:
+            parent[find(v)] = r
+    roots = {}
+    return np.array([roots.setdefault(find(v), len(roots)) for v in range(n)], dtype=int)
 
 
 @dataclass
@@ -105,26 +148,8 @@ class ReplicationMap:
     def __post_init__(self):
         self.vertex_origin = np.asarray(self.vertex_origin, dtype=int)
         self.edge_origin = np.asarray(self.edge_origin, dtype=int)
-        n_aug = self.n_aug
-        parent = list(range(n_aug))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in self.replica_edges:
-            r = find(e[0])
-            for v in e[1:]:
-                parent[find(v)] = r
-        roots = {}
-        comp = np.empty(n_aug, dtype=int)
-        for v in range(n_aug):
-            r = find(v)
-            comp[v] = roots.setdefault(r, len(roots))
-        self.component_of_vertex = comp
-        self.n_components = len(roots)
+        self.component_of_vertex = _component_labels(self.n_aug, self.replica_edges)
+        self.n_components = int(self.component_of_vertex.max(initial=-1)) + 1
         self.vertex_replicas = [[] for _ in range(self.n_orig)]
         for v_aug, v in enumerate(self.vertex_origin):
             self.vertex_replicas[v].append(v_aug)
@@ -153,7 +178,7 @@ class ReplicationMap:
     def replica_component(self, rid: int) -> int:
         return int(self.component_of_vertex[self.replica_edges[rid][0]])
 
-    def validate(self, treewidth_bound: int | None = None) -> None:
+    def validate(self) -> None:
         if set(self.vertex_origin.tolist()) != set(range(self.n_orig)):
             raise DecompositionError("vertex map is not surjective")
         for oid, rids in enumerate(self.edge_replicas):
@@ -167,26 +192,6 @@ class ReplicationMap:
                     raise DecompositionError(
                         f"replica {rid} maps to {got}, expected {self.orig_edges[oid]}"
                     )
-        if treewidth_bound is not None:
-            w = self.max_component_treewidth()
-            if w > treewidth_bound:
-                raise DecompositionError(
-                    f"component treewidth {w} exceeds bound {treewidth_bound}"
-                )
-
-    def max_component_treewidth(self) -> int:
-        from .inference import min_fill_order, neighbour_sets
-
-        widths = [0]
-        comps = self.component_vertices()
-        edges_by_comp = [[] for _ in comps]
-        for rid, e in enumerate(self.replica_edges):
-            edges_by_comp[self.replica_component(rid)].append(e)
-        for verts, edges in zip(comps, edges_by_comp):
-            local = {v: i for i, v in enumerate(verts)}
-            nbrs = neighbour_sets(len(verts), [[local[v] for v in e] for e in edges])
-            widths.append(min_fill_order(nbrs)[1])
-        return max(widths)
 
 
 class _Builder:
@@ -222,16 +227,37 @@ class _Builder:
         for v_aug, v in enumerate(list(self.vertex_origin)):
             if v in singles:
                 self.add_replica((v,), (v_aug,))
-        rmap = ReplicationMap(
+        # A class update equalizes marginals across replicas, which is exact
+        # only when the updated replicas live in distinct components. Each
+        # class that violates this gets one hub replica, alone in a fresh
+        # component; sweeps then route its updates pairwise through the hub.
+        comp = _component_labels(len(self.vertex_origin), self.replica_edges)
+        comps_of = [[] for _ in self.orig_edges]
+        for e, oid in zip(self.replica_edges, self.edge_origin):
+            comps_of[oid].append(comp[e[0]])
+        need_hub = [oid for oid, cs in enumerate(comps_of) if len(set(cs)) < len(cs)]
+        hubs = []
+        for oid in need_hub:
+            e = self.orig_edges[oid]
+            aug = [self.new_vertex(v) for v in e]
+            hubs.append(self.add_replica(e, aug))
+            if len(e) > 1:
+                # Hub vertices still carry their singleton potentials.
+                for v, v_aug in zip(e, aug):
+                    if v in singles:
+                        self.add_replica((v,), (v_aug,))
+        if need_hub:
+            self.notes.append(f"added {len(need_hub)} intermediary replica(s)")
+        return ReplicationMap(
             n_orig=self.n,
             orig_edges=tuple(self.orig_edges),
             vertex_origin=np.array(self.vertex_origin, dtype=int),
             replica_edges=self.replica_edges,
             edge_origin=np.array(self.edge_origin, dtype=int),
             notes=self.notes,
+            hub_replicas=frozenset(hubs),
             **extra,
         )
-        return rmap
 
 
 def _nonsingleton(edges):
@@ -306,12 +332,11 @@ def _grid_edge_set(rows, cols):
 def _build_spanning_trees(b: _Builder, config: DecompositionConfig):
     edges = _nonsingleton(b.orig_edges)
     _require_pairwise(edges, "spanning-trees")
-    rows, cols = _grid_shape(b.n, config)
-    grid = rows > 1 and set(edges) == _grid_edge_set(rows, cols)
-    if grid:
+    shape = _grid_shape(b.n, config)
+    if shape is not None and shape[0] > 1 and set(edges) == _grid_edge_set(*shape):
         trees = [
-            _snake_tree_edges(rows, cols, column_major=True),
-            _snake_tree_edges(rows, cols, column_major=False),
+            _snake_tree_edges(*shape, column_major=True),
+            _snake_tree_edges(*shape, column_major=False),
         ]
         for tree in trees:
             verts = sorted({v for e in tree for v in e})
@@ -320,14 +345,7 @@ def _build_spanning_trees(b: _Builder, config: DecompositionConfig):
     # General graphs: greedy forest covers until every edge is used.
     remaining = set(edges)
     while remaining:
-        parent = list(range(b.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        parent, find = _union_find(b.n)
         forest = []
         for e in sorted(remaining):
             ru, rv = find(e[0]), find(e[1])
@@ -390,7 +408,7 @@ def _ordered_pair(u, v, au, av):
 def _build_loops(b: _Builder, config: DecompositionConfig):
     edges = _nonsingleton(b.orig_edges)
     _require_pairwise(edges, "loops")
-    rows, cols = _grid_shape(b.n, config)
+    rows, cols = _required_grid_shape(b.n, config)
     idx = _grid_index(rows, cols)
     edge_set = set(edges)
     covered = set()
@@ -429,7 +447,7 @@ def _window_starts(extent: int, size: int, stride: int) -> list[int]:
 
 def _build_induced_blocks(b: _Builder, config: DecompositionConfig):
     edges = _nonsingleton(b.orig_edges)
-    rows, cols = _grid_shape(b.n, config)
+    rows, cols = _required_grid_shape(b.n, config)
     size = config.block
     if size < 2:
         raise DecompositionError("block size must be at least 2")
@@ -461,7 +479,7 @@ def _strip_starts(cols: int, width: int, overlap: int) -> list[int]:
 
 def _build_thin_strips(b: _Builder, config: DecompositionConfig):
     edges = _nonsingleton(b.orig_edges)
-    rows, cols = _grid_shape(b.n, config)
+    rows, cols = _required_grid_shape(b.n, config)
     K, L = config.strip_width, config.overlap
     if K < 1 or L < 1:
         raise DecompositionError("strip width and overlap must be positive")
@@ -508,8 +526,11 @@ def build_decomposition(
     """Build a replication map for `graph` under the configured strategy.
 
     Accepts a DecompositionConfig, a strategy name, or keyword arguments
-    forwarded to DecompositionConfig. The returned map is validated for
-    coverage and (if configured) the component treewidth bound.
+    forwarded to DecompositionConfig. The returned map is finished in one
+    pass: strategy components, singleton replicas on every vertex copy, then
+    an intermediary hub for every class whose replicas share a component.
+    It is validated for coverage; the treewidth bound is checked by
+    `discrete.build_relaxation` on the junction trees of its engines.
     """
     if config is None:
         config = DecompositionConfig(**kwargs)
@@ -530,66 +551,16 @@ def build_decomposition(
     elif config.strategy == "thin-strips":
         extra["block_classes"] = _build_thin_strips(b, config)
     rmap = b.finish(**extra)
-    rmap.validate(treewidth_bound=config.treewidth_bound)
+    rmap.validate()
     return rmap
-
-
-def add_intermediaries(rmap: ReplicationMap) -> ReplicationMap:
-    """Add isolated hub components for classes whose replicas share a component.
-
-    A class update equalizes marginals across replicas, which is exact only
-    when the updated replicas live in distinct components. Classes that
-    violate this get one extra replica in its own component; sweeps then
-    route updates pairwise through the hub.
-    """
-    need_hub = []
-    for oid, rids in enumerate(rmap.edge_replicas):
-        if len(rids) <= 1:
-            continue
-        comps = [rmap.replica_component(r) for r in rids]
-        if len(set(comps)) < len(comps):
-            need_hub.append(oid)
-    if not need_hub:
-        return rmap
-
-    vertex_origin = rmap.vertex_origin.tolist()
-    replica_edges = list(rmap.replica_edges)
-    edge_origin = rmap.edge_origin.tolist()
-    hubs = set(rmap.hub_replicas)
-    singles = {e[0]: i for i, e in enumerate(rmap.orig_edges) if len(e) == 1}
-    for oid in need_hub:
-        e = rmap.orig_edges[oid]
-        aug = []
-        for v in e:
-            vertex_origin.append(v)
-            aug.append(len(vertex_origin) - 1)
-        replica_edges.append(tuple(aug))
-        edge_origin.append(oid)
-        hubs.add(len(replica_edges) - 1)
-        if len(e) > 1:
-            # Hub vertices still carry their singleton potentials.
-            for v, v_aug in zip(e, aug):
-                if v in singles:
-                    replica_edges.append((v_aug,))
-                    edge_origin.append(singles[v])
-    notes = rmap.notes + [f"added {len(need_hub)} intermediary replica(s)"]
-    return ReplicationMap(
-        n_orig=rmap.n_orig,
-        orig_edges=rmap.orig_edges,
-        vertex_origin=np.array(vertex_origin, dtype=int),
-        replica_edges=replica_edges,
-        edge_origin=np.array(edge_origin, dtype=int),
-        notes=notes,
-        hub_replicas=frozenset(hubs),
-        block_classes=rmap.block_classes,
-    )
 
 
 def update_groups(rmap: ReplicationMap, rids) -> list[list[int]]:
     """Partition a class into update groups with one replica per component.
 
     All-distinct components update as a single group; otherwise updates run
-    pairwise through the class's intermediary hub.
+    pairwise through the class's intermediary hub, which `build_decomposition`
+    adds to every such class.
     """
     rids = list(rids)
     comps = [rmap.replica_component(r) for r in rids]
@@ -598,8 +569,7 @@ def update_groups(rmap: ReplicationMap, rids) -> list[list[int]]:
     hubs = [r for r in rids if r in rmap.hub_replicas]
     if not hubs:
         raise DecompositionError(
-            "class has co-located replicas but no intermediary; "
-            "run add_intermediaries first"
+            "class has replicas sharing a component but no intermediary hub"
         )
     hub = hubs[0]
     return [[r, hub] for r in rids if r != hub]
@@ -729,10 +699,9 @@ def split_potentials(model, rmap: ReplicationMap):
 
 
 def build_augmented(model, config: DecompositionConfig | str | None = None, **kwargs):
-    """Replicate `model` under `config` (see build_decomposition), add the
-    intermediary hubs and split its potentials over the replicas."""
-    rmap = add_intermediaries(build_decomposition(model.graph, config, **kwargs))
-    return split_potentials(model, rmap)
+    """Replicate `model` under `config` (see build_decomposition) and split
+    its potentials over the replicas."""
+    return split_potentials(model, build_decomposition(model.graph, config, **kwargs))
 
 
 def lift_assignment(x, rmap: ReplicationMap) -> np.ndarray:

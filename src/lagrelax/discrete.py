@@ -25,6 +25,7 @@ import numpy as np
 
 from .decomposition import (
     DecompositionConfig,
+    DecompositionError,
     DiscreteAugmented,
     build_augmented,
     ensure_singletons,
@@ -336,8 +337,19 @@ class DiscreteRelaxation:
 def build_relaxation(
     model: DiscreteFactorModel, config: DecompositionConfig | str | None = None, **kwargs
 ) -> DiscreteRelaxation:
-    aug = build_augmented(ensure_singletons(model), config or "spanning-trees", **kwargs)
-    return DiscreteRelaxation(aug)
+    """Replicate `model`, with a singleton term on every vertex, and build
+    one engine per component layout. Raises DecompositionError when a
+    junction tree's largest clique, minus one, exceeds
+    `config.treewidth_bound`."""
+    if not isinstance(config, DecompositionConfig):
+        config = DecompositionConfig(strategy=config or "spanning-trees", **kwargs)
+    relax = DiscreteRelaxation(build_augmented(ensure_singletons(model), config))
+    width = max(len(c) for eng in relax.engines for c in eng.cliques) - 1
+    if config.treewidth_bound is not None and width > config.treewidth_bound:
+        raise DecompositionError(
+            f"component treewidth {width} exceeds bound {config.treewidth_bound}"
+        )
+    return relax
 
 
 def solve_discrete(

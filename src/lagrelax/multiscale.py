@@ -94,7 +94,6 @@ def _scale_decomposition(graph: Hypergraph, block: int):
         cols=graph.vertex_count,
         strip_width=2 * block,
         overlap=block,
-        treewidth_bound=None,
     )
     return build_decomposition(graph, config)
 

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from lagrelax.cli import main
+from lagrelax.decomposition import DecompositionError
 from lagrelax.experiments import ConfigError, parse_config_text, run_experiment
 from lagrelax.generators import generate_chain_membrane, generate_ising_grid, generate_thin_membrane
 from lagrelax.modelio import write_model
@@ -116,6 +117,17 @@ class TestCli:
             lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("component ")]
             assert [ln.split(":")[0] for ln in lines] == [f"component {i}" for i in range(components)]
             assert all("cliques:" in ln for ln in lines)
+
+    def test_treewidth_bound_is_a_solve_flag(self, tmp_path):
+        model = generate_ising_grid(3, 1.0, "attractive", seed=0)
+        mpath = tmp_path / "m.txt"
+        write_model(model, mpath)
+        with pytest.raises(DecompositionError, match="treewidth 2 exceeds bound 1"):
+            main(["solve", "--model", str(mpath), "--strategy", "loops", "--treewidth-bound", "1"])
+        gpath = tmp_path / "g.txt"
+        write_model(generate_thin_membrane(4, 0.05, seed=1), gpath)
+        with pytest.raises(SystemExit):
+            main(["gsolve", "--model", str(gpath), "--treewidth-bound", "12"])
 
     def test_gsolve(self, tmp_path, capsys):
         model = generate_thin_membrane(4, 0.05, seed=1)

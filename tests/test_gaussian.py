@@ -14,6 +14,7 @@ from lagrelax.models import GaussianInfoModel, NotPositiveDefiniteError
 from lagrelax.generators import (
     generate_chain_membrane,
     generate_thin_membrane,
+    generate_thin_plate,
 )
 from lagrelax.oracle import exact_gaussian_solve
 
@@ -164,6 +165,18 @@ class TestSweep:
         rep = solve_gaussian(gm, cfg, tol=1e-12, max_iters=3000)
         assert rep.converged
         assert np.max(np.abs(rep.means - mean)) < 1e-8
+
+    def test_wide_plate_strips_take_no_treewidth_bound(self):
+        # 6-column plate strips have a min-fill width of 13, above the
+        # default treewidth_bound of 12, which applies to discrete relaxations only
+        gm = generate_thin_plate(10, 0.01, seed=0)
+        cfg = DecompositionConfig(strategy="thin-strips", strip_width=6, overlap=2)
+        assert cfg.treewidth_bound == 12
+        rep = solve_gaussian(gm, cfg)
+        assert rep.converged
+        mean, var, _ = exact_gaussian_solve(gm)
+        assert np.max(np.abs(rep.means - mean)) < 1e-6
+        assert np.all(rep.variance_bound >= var - 1e-9)
 
 
 class TestInvariants:
