@@ -15,6 +15,7 @@ component width, on their engines' junction trees (`build_relaxation`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,6 +66,16 @@ class DecompositionConfig:
             raise DecompositionError(
                 f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}"
             )
+
+
+def as_config(
+    config: DecompositionConfig | str | None, default: str, **kwargs
+) -> DecompositionConfig:
+    """The configuration a builder runs: `config`, or a config of the named
+    strategy (`default` when None), with `kwargs` replacing its fields."""
+    if not isinstance(config, DecompositionConfig):
+        config = DecompositionConfig(strategy=config or default)
+    return dataclasses.replace(config, **kwargs)
 
 
 def _grid_shape(n: int, config: DecompositionConfig) -> tuple[int, int] | None:
@@ -525,17 +536,15 @@ def build_decomposition(
 ) -> ReplicationMap:
     """Build a replication map for `graph` under the configured strategy.
 
-    Accepts a DecompositionConfig, a strategy name, or keyword arguments
-    forwarded to DecompositionConfig. The returned map is finished in one
-    pass: strategy components, singleton replicas on every vertex copy, then
-    an intermediary hub for every class whose replicas share a component.
+    Accepts a DecompositionConfig or a strategy name (`spanning-trees` when
+    None); keyword arguments set DecompositionConfig fields. The returned
+    map is finished in one pass: strategy components, singleton replicas on
+    every vertex copy, then an intermediary hub for every class whose
+    replicas share a component.
     It is validated for coverage; the treewidth bound is checked by
     `discrete.build_relaxation` on the junction trees of its engines.
     """
-    if config is None:
-        config = DecompositionConfig(**kwargs)
-    elif isinstance(config, str):
-        config = DecompositionConfig(strategy=config, **kwargs)
+    config = as_config(config, "spanning-trees", **kwargs)
     b = _Builder(graph.vertex_count, graph.hyperedges)
     extra = {}
     if config.strategy == "disjoint-edges":
@@ -644,8 +653,9 @@ class GaussianAugmented:
     rmap: ReplicationMap
     components: list[GaussianComponent]
 
-    def consistency_residual(self) -> tuple[float, float]:
-        n = self.base.n
+    def aggregate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sum of the component information forms over the original vertices."""
+        n = self.rmap.n_orig
         J = np.zeros((n, n))
         h = np.zeros(n)
         vo = self.rmap.vertex_origin
@@ -653,19 +663,13 @@ class GaussianAugmented:
             orig = vo[comp.vertices]
             J[np.ix_(orig, orig)] += comp.J
             h[orig] += comp.h
+        return J, h
+
+    def consistency_residual(self) -> tuple[float, float]:
+        """Largest |aggregate - original| over J and over h."""
+        J, h = self.aggregate()
         J0, h0 = self.base.aggregate_dense
-        return (
-            float(np.max(np.abs(J - J0))) if n else 0.0,
-            float(np.max(np.abs(h - h0))) if n else 0.0,
-        )
-
-
-def zero_components(rmap: ReplicationMap) -> list[GaussianComponent]:
-    """One all-zero information form per component of `rmap`."""
-    return [
-        GaussianComponent(verts, np.zeros((len(verts), len(verts))), np.zeros(len(verts)))
-        for verts in rmap.component_vertices()
-    ]
+        return float(np.max(np.abs(J - J0))), float(np.max(np.abs(h - h0)))
 
 
 def split_potentials(model, rmap: ReplicationMap):
@@ -680,7 +684,10 @@ def split_potentials(model, rmap: ReplicationMap):
         return DiscreteAugmented(model, rmap, tables)
 
     if isinstance(model, GaussianInfoModel):
-        comps = zero_components(rmap)
+        comps = [
+            GaussianComponent(verts, np.zeros((len(verts), len(verts))), np.zeros(len(verts)))
+            for verts in rmap.component_vertices()
+        ]
         term_by_support = {t.vertices: t for t in model.clique_terms}
         for rid, e_aug in enumerate(rmap.replica_edges):
             oid = int(rmap.edge_origin[rid])

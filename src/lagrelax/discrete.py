@@ -27,6 +27,7 @@ from .decomposition import (
     DecompositionConfig,
     DecompositionError,
     DiscreteAugmented,
+    as_config,
     build_augmented,
     ensure_singletons,
     project_assignment,
@@ -341,8 +342,7 @@ def build_relaxation(
     one engine per component layout. Raises DecompositionError when a
     junction tree's largest clique, minus one, exceeds
     `config.treewidth_bound`."""
-    if not isinstance(config, DecompositionConfig):
-        config = DecompositionConfig(strategy=config or "spanning-trees", **kwargs)
+    config = as_config(config, "spanning-trees", **kwargs)
     relax = DiscreteRelaxation(build_augmented(ensure_singletons(model), config))
     width = max(len(c) for eng in relax.engines for c in eng.cliques) - 1
     if config.treewidth_bound is not None and width > config.treewidth_bound:

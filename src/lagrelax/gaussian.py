@@ -7,6 +7,11 @@ consistency (A^T J' A = J, A^T h' = h) are preserved by construction and
 checked every sweep. Each sweep then factors every component once: that
 one factor checks positive definiteness and gives the means, the
 covariance diagonal and the dual value.
+
+`GaussianRelaxation` is the one relaxation type: the single-scale solver
+runs one, and the multiscale solver runs one per scale. `build_matcher`
+builds every agreement class, from a strip map's overlap blocks or else
+from the replicated hyperedges.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ import numpy as np
 
 from .decomposition import (
     DecompositionConfig,
+    DecompositionError,
     GaussianAugmented,
+    as_config,
     build_augmented,
     replica_classes,
 )
 from .inference import gaussian_component_mean, gaussian_marginal_info
-from .models import GaussianInfoModel, NotPositiveDefiniteError
+from .models import GaussianInfoModel
 from .report import Report
 
 
@@ -45,8 +52,8 @@ class GaussClass:
 class MomentMatcher:
     """Moment-matching sweeps over a list of components and classes.
 
-    This is the in-scale workhorse shared by the single-scale solver and
-    the multiscale solver; it knows nothing about the original model.
+    Every `GaussianRelaxation` sweeps through one, whatever its scale; it
+    knows nothing about the original model.
     """
 
     def __init__(self, components, classes: list[GaussClass]):
@@ -58,10 +65,7 @@ class MomentMatcher:
         return gaussian_marginal_info(comp.J, comp.h, locs, elim=elim)
 
     def _member_infos(self, cls: GaussClass, idxs):
-        return [
-            self.marginal(cls.members[i][0], cls.members[i][1], cls.members[i][2])
-            for i in idxs
-        ]
+        return [self.marginal(*cls.members[i]) for i in idxs]
 
     def _apply(self, cls: GaussClass, idxs, infos):
         Jbar = sum(J for J, _ in infos) / len(infos)
@@ -101,54 +105,43 @@ def replica_average(rmap, components, values):
     mean = np.bincount(origin, weights=per_aug, minlength=n) / np.bincount(origin, minlength=n)
     hi = np.full(n, -np.inf)
     lo = np.full(n, np.inf)
-    np.maximum.at(hi, origin, per_aug)
-    np.minimum.at(lo, origin, per_aug)
+    with np.errstate(invalid="ignore"):  # NaN entries propagate silently
+        np.maximum.at(hi, origin, per_aug)
+        np.minimum.at(lo, origin, per_aug)
     return mean, hi - lo
-
-
-def hyperedge_agreement_classes(rmap, comps) -> list[GaussClass]:
-    classes = []
-    for oid, rids, groups_rids in replica_classes(rmap):
-        members = []
-        for rid in rids:
-            ci = rmap.replica_component(rid)
-            comp = comps[ci]
-            locs = np.array([comp.local[v] for v in rmap.replica_edges[rid]])
-            elim = np.setdiff1d(np.arange(comp.size), locs)
-            members.append((ci, locs, elim))
-        pos = {rid: k for k, rid in enumerate(rids)}
-        groups = [[pos[r] for r in g] for g in groups_rids]
-        classes.append(GaussClass(rmap.orig_edges[oid], members, groups))
-    return classes
-
-
-def block_agreement_classes(rmap, comps) -> list[GaussClass]:
-    classes = []
-    for orig, reps in rmap.block_classes:
-        members = []
-        seen_comps = set()
-        for aug_verts in reps:
-            ci = int(rmap.component_of_vertex[aug_verts[0]])
-            if ci in seen_comps:
-                raise NotPositiveDefiniteError(
-                    "block class replicas must live in distinct components"
-                )
-            seen_comps.add(ci)
-            comp = comps[ci]
-            locs = np.array([comp.local[v] for v in aug_verts])
-            elim = np.setdiff1d(np.arange(comp.size), locs)
-            members.append((ci, locs, elim))
-        classes.append(GaussClass(orig, members, [list(range(len(members)))]))
-    return classes
 
 
 def build_matcher(rmap, components) -> MomentMatcher:
     """Moment matcher over the block classes of `rmap` when it has them,
-    else over its hyperedge classes."""
+    else over its hyperedge classes.
+
+    Raises DecompositionError when a block's replica spans several
+    components (a strip whose rows are not coupled).
+    """
     if rmap.block_classes:
-        classes = block_agreement_classes(rmap, components)
+        specs = [(key, reps, [list(range(len(reps)))]) for key, reps in rmap.block_classes]
     else:
-        classes = hyperedge_agreement_classes(rmap, components)
+        specs = [
+            (
+                rmap.orig_edges[oid],
+                [rmap.replica_edges[r] for r in rids],
+                [[rids.index(r) for r in g] for g in groups],
+            )
+            for oid, rids, groups in replica_classes(rmap)
+        ]
+    classes = []
+    for key, reps, groups in specs:
+        members = []
+        for aug_verts in reps:
+            owners = rmap.component_of_vertex[list(aug_verts)]
+            ci = int(owners[0])
+            if np.any(owners != ci):
+                raise DecompositionError(f"agreement block {key} spans several components")
+            comp = components[ci]
+            locs = np.array([comp.local[v] for v in aug_verts])
+            elim = np.setdiff1d(np.arange(comp.size), locs)
+            members.append((ci, locs, elim))
+        classes.append(GaussClass(key, members, groups))
     return MomentMatcher(components, classes)
 
 
@@ -216,10 +209,7 @@ class GaussianRelaxation:
         and the tighter inverse when replicas are component-disjoint."""
         out = {}
         for cls in self.classes:
-            infos = [
-                self.matcher.marginal(ci, locs, elim)
-                for ci, locs, elim in cls.members
-            ]
+            infos = [self.matcher.marginal(*m) for m in cls.members]
             Jbar = sum(J for J, _ in infos) / len(infos)
             bound = np.linalg.inv(Jbar)
             comp_ids = [ci for ci, _, _ in cls.members]
@@ -270,7 +260,7 @@ class GaussianSolveReport(Report):
 def build_gaussian_relaxation(
     model: GaussianInfoModel, config: DecompositionConfig | str | None = None, **kwargs
 ) -> GaussianRelaxation:
-    return GaussianRelaxation(build_augmented(model, config or "thin-strips", **kwargs))
+    return GaussianRelaxation(build_augmented(model, as_config(config, "thin-strips", **kwargs)))
 
 
 def solve_gaussian(

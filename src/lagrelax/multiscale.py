@@ -1,11 +1,13 @@
 """Multiscale relaxation for 1D Gaussian chains.
 
-Coarse scales carry summary variables (block averages of the scale below)
-with zero intrinsic potentials; cross-scale updates move potential mass
-between a fine block and its summary variable so that their marginal
-moments agree, while the constrained multiscale model stays equivalent to
-the original chain. In-scale replica matching reuses the single-scale
-moment-matching machinery on overlapping block-pair components.
+Every scale is a `GaussianRelaxation` over overlapping block-pair strips:
+scale 0 relaxes the input chain, and each coarse scale relaxes a chain of
+summary variables (block averages of the scale below) with zero intrinsic
+potentials. Cross-scale updates move potential mass between a fine block
+and its summary variables so that their marginal moments agree, while the
+constrained multiscale model, sum_s M_s^T (J_s, h_s) M_s with M_s the
+block-average map from the original variables to scale s, stays equal to
+the original chain. In-scale replica matching is the single-scale sweep.
 
 2D lattices would use the same types with block summaries per axis; only
 the 1D construction is wired up and tested here.
@@ -19,28 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import (
-    DecompositionConfig,
-    build_decomposition,
-    split_potentials,
-    zero_components,
-)
-from .gaussian import MomentMatcher, build_matcher, replica_average
-from .inference import factor_active, gaussian_component_mean
-from .models import (
-    GaussianInfoModel,
-    Hypergraph,
-    ModelError,
-    NotPositiveDefiniteError,
-)
+from .decomposition import DecompositionConfig, build_augmented
+from .gaussian import GaussianRelaxation
+from .inference import factor_active
+from .models import GaussianInfoModel, Hypergraph, ModelError, NotPositiveDefiniteError
 from .report import Report
-
-
-@dataclass
-class ScaleState:
-    size: int
-    rmap: object
-    matcher: MomentMatcher
 
 
 @dataclass
@@ -65,7 +50,7 @@ class CrossLink:
 class MultiscaleModel:
     base: GaussianInfoModel
     block: int
-    scales: list[ScaleState]
+    scales: list[GaussianRelaxation]
     links: list[list[CrossLink]]  # per adjacent scale pair
 
     @property
@@ -73,29 +58,31 @@ class MultiscaleModel:
         return len(self.scales)
 
 
-def _chain_graph(n: int) -> Hypergraph:
-    edges = [(v,) for v in range(n)] + [(v, v + 1) for v in range(n - 1)]
-    return Hypergraph(n, tuple(edges))
-
-
 def _is_chain(graph: Hypergraph) -> bool:
-    for e in graph.hyperedges:
-        if len(e) == 1:
-            continue
-        if len(e) != 2 or e[1] - e[0] != 1:
-            return False
-    return True
+    return all(len(e) == 1 or (len(e) == 2 and e[1] - e[0] == 1) for e in graph.hyperedges)
 
 
-def _scale_decomposition(graph: Hypergraph, block: int):
+def _scale_relaxation(model: GaussianInfoModel, block: int) -> GaussianRelaxation:
     config = DecompositionConfig(
-        strategy="thin-strips",
-        rows=1,
-        cols=graph.vertex_count,
-        strip_width=2 * block,
-        overlap=block,
+        strategy="thin-strips", rows=1, cols=model.n, strip_width=2 * block, overlap=block
     )
-    return build_decomposition(graph, config)
+    return GaussianRelaxation(build_augmented(model, config))
+
+
+def _summary_chain(n: int) -> GaussianInfoModel:
+    """A chain of n summary variables with zero clique terms."""
+    edges = [(v,) for v in range(n)] + [(v, v + 1) for v in range(n - 1)]
+    return GaussianInfoModel.from_cliques(
+        n, [(e, np.zeros((len(e), len(e))), np.zeros(len(e))) for e in edges]
+    )
+
+
+def _block_average(size: int, block: int) -> np.ndarray:
+    """The size x (size * block) map that averages consecutive blocks."""
+    A = np.zeros((size, size * block))
+    for i in range(size):
+        A[i, i * block : (i + 1) * block] = 1.0 / block
+    return A
 
 
 def build_multiscale(
@@ -104,40 +91,29 @@ def build_multiscale(
     """Dyadic (by default) summary hierarchy over a 1D chain model."""
     if levels < 1:
         raise ModelError("levels must be at least 1")
+    if block < 1:
+        raise ModelError("block must be at least 1")
     if not _is_chain(model.graph):
         raise ModelError("multiscale construction expects a 1D chain model")
-    sizes = [model.n]
-    for _ in range(levels - 1):
-        if sizes[-1] % block != 0 or sizes[-1] // block < 1:
-            raise ModelError(
-                f"chain length {model.n} does not support {levels} levels "
-                f"with block {block}"
-            )
-        sizes.append(sizes[-1] // block)
-
-    scales: list[ScaleState] = []
-    rmap0 = _scale_decomposition(model.graph, block)
-    aug0 = split_potentials(model, rmap0)
-    scales.append(ScaleState(model.n, rmap0, build_matcher(rmap0, aug0.components)))
-    for s in range(1, levels):
-        g = _chain_graph(sizes[s])
-        rmap = _scale_decomposition(g, block)
-        comps = zero_components(rmap)
-        scales.append(ScaleState(sizes[s], rmap, build_matcher(rmap, comps)))
+    if model.n % block ** (levels - 1):
+        raise ModelError(
+            f"chain length {model.n} does not support {levels} levels with block {block}"
+        )
+    scales = [_scale_relaxation(model, block)]
+    scales += [
+        _scale_relaxation(_summary_chain(model.n // block**s), block) for s in range(1, levels)
+    ]
 
     links: list[list[CrossLink]] = []
     for s in range(levels - 1):
         fine, coarse = scales[s], scales[s + 1]
-        nb = coarse.size
+        nb = coarse.rmap.n_orig
         cliques = [(i, i + 1) for i in range(nb - 1)] if nb >= 2 else [(0,)]
         pair_links = []
         for cvars in cliques:
             fine_vars = [v for i in cvars for v in range(i * block, (i + 1) * block)]
             fci, flocs = _canonical_block(fine, fine_vars)
             cci, clocs = _canonical_block(coarse, list(cvars))
-            A = np.zeros((len(cvars), len(fine_vars)))
-            for r in range(len(cvars)):
-                A[r, r * block : (r + 1) * block] = 1.0 / block
             pair_links.append(
                 CrossLink(
                     fine_scale=s,
@@ -146,32 +122,27 @@ def build_multiscale(
                     fine_locs=flocs,
                     coarse_comp=cci,
                     coarse_locs=clocs,
-                    A=A,
+                    A=_block_average(len(cvars), block),
                 )
             )
         links.append(pair_links)
     return MultiscaleModel(base=model, block=block, scales=scales, links=links)
 
 
-def _canonical_block(scale: ScaleState, block_vars):
+def _canonical_block(scale: GaussianRelaxation, block_vars):
     """First component holding a full copy of the block, with local indices."""
     rmap = scale.rmap
-    comps = scale.matcher.components
-    candidates = None
-    for v in block_vars:
-        owners = {int(rmap.component_of_vertex[a]) for a in rmap.vertex_replicas[v]}
-        candidates = owners if candidates is None else candidates & owners
-    if not candidates:
+    # per block variable: owning component -> its replica there (each strip
+    # holds one copy of a variable)
+    owners = [
+        {int(rmap.component_of_vertex[a]): a for a in rmap.vertex_replicas[v]} for v in block_vars
+    ]
+    shared = set.intersection(*map(set, owners))
+    if not shared:
         raise ModelError(f"no component contains block {block_vars}")
-    ci = min(candidates)
-    comp = comps[ci]
-    locs = []
-    for v in block_vars:
-        v_aug = next(
-            a for a in rmap.vertex_replicas[v] if rmap.component_of_vertex[a] == ci
-        )
-        locs.append(comp.local[v_aug])
-    return ci, np.array(locs)
+    ci = min(shared)
+    comp = scale.aug.components[ci]
+    return ci, np.array([comp.local[own[ci]] for own in owners])
 
 
 def summary_multipliers(A, J1, h1, J2, h2):
@@ -265,9 +236,25 @@ class MultiscaleSolveReport(Report):
 
 
 def fine_scale_means(ms: MultiscaleModel) -> np.ndarray:
-    comps = ms.scales[0].matcher.components
-    means = [gaussian_component_mean(c.J, c.h)[0] for c in comps]
-    return replica_average(ms.scales[0].rmap, comps, means)[0]
+    return ms.scales[0].node_stats().mean
+
+
+def v_cycle(ms: MultiscaleModel) -> float:
+    """One outer iteration; returns its largest residual (NaN when any is).
+
+    The downstroke smooths each scale with one moment-matching sweep, then
+    pushes its summaries upward; the upstroke pulls the summaries back down
+    and smooths again.
+    """
+    resids = []
+    for s in range(ms.levels - 1):
+        resids.append(ms.scales[s].matcher.sweep())
+        resids += [cross_scale_update(ms, link) for link in ms.links[s]]
+    resids.append(ms.scales[-1].matcher.sweep())
+    for s in reversed(range(ms.levels - 1)):
+        resids += [cross_scale_update(ms, link) for link in ms.links[s]]
+        resids.append(ms.scales[s].matcher.sweep())
+    return float(np.max(resids))
 
 
 def solve_multiscale(
@@ -279,13 +266,12 @@ def solve_multiscale(
     max_iters: int = 500,
     reference=None,
 ) -> MultiscaleSolveReport:
-    """Interleave in-scale replica sweeps with cross-scale summary updates.
+    """Run `v_cycle` iterations until every residual drops below tol.
 
-    Each outer iteration runs one moment-matching sweep per scale, then a
-    fine-to-coarse pass of cross-scale updates followed by a coarse-to-fine
-    pass. Convergence is reached when every residual drops below tol; a
-    NaN or infinite residual ends the iterations at once.
+    A NaN or infinite residual ends the iterations at once.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     ms = build_multiscale(model, levels, block)
     t0 = time.perf_counter()
     trace: list[MultiscaleTraceEntry] = []
@@ -293,17 +279,7 @@ def solve_multiscale(
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        resids = []
-        # Downstroke: smooth each scale, then push its summaries upward.
-        for s in range(ms.levels - 1):
-            resids.append(ms.scales[s].matcher.sweep())
-            resids += [cross_scale_update(ms, link) for link in ms.links[s]]
-        resids.append(ms.scales[-1].matcher.sweep())
-        # Upstroke: pull summaries downward, then smooth again.
-        for s in reversed(range(ms.levels - 1)):
-            resids += [cross_scale_update(ms, link) for link in ms.links[s]]
-            resids.append(ms.scales[s].matcher.sweep())
-        resid = float(np.max(resids))
+        resid = v_cycle(ms)
         mean_err = np.nan
         if reference is not None:
             mean_err = float(np.max(np.abs(fine_scale_means(ms) - reference)))
@@ -337,47 +313,31 @@ def solve_multiscale(
 # Equivalence checks used by tests and diagnostics
 
 
-def scale_lift_matrices(ms: MultiscaleModel) -> list[np.ndarray]:
-    """M_s maps original variables to scale-s variables (block averages)."""
-    mats = [np.eye(ms.base.n)]
-    for s in range(1, ms.levels):
-        prev = mats[-1]
-        size = ms.scales[s].size
-        B = np.zeros((size, ms.scales[s - 1].size))
-        for i in range(size):
-            B[i, i * ms.block : (i + 1) * ms.block] = 1.0 / ms.block
-        mats.append(B @ prev)
-    return mats
+def _lifted_form(ms: MultiscaleModel) -> tuple[np.ndarray, np.ndarray]:
+    """sum_s M_s^T (J_s, h_s) M_s over the original variables, where
+    (J_s, h_s) is scale s's aggregated form."""
+    n = ms.base.n
+    J = np.zeros((n, n))
+    h = np.zeros(n)
+    M = np.eye(n)
+    for s, scale in enumerate(ms.scales):
+        if s:
+            M = _block_average(scale.rmap.n_orig, ms.block) @ M
+        Js, hs = scale.aug.aggregate()
+        J += M.T @ Js @ M
+        h += M.T @ hs
+    return J, h
 
 
 def multiscale_objective(ms: MultiscaleModel, x) -> float:
     """Total objective of the constrained multiscale model on a lifted state."""
     x = np.asarray(x, dtype=float)
-    total = 0.0
-    for M, scale in zip(scale_lift_matrices(ms), ms.scales):
-        xs = M @ x
-        vo = scale.rmap.vertex_origin
-        for comp in scale.matcher.components:
-            xl = xs[vo[comp.vertices]]
-            total += float(-0.5 * xl @ comp.J @ xl + comp.h @ xl)
-    return total
+    J, h = _lifted_form(ms)
+    return float(-0.5 * x @ J @ x + h @ x)
 
 
 def multiscale_consistency_residual(ms: MultiscaleModel) -> tuple[float, float]:
-    """Residual of sum_s M_s^T (aggregated scale form) M_s against the model."""
-    n = ms.base.n
-    Jt = np.zeros((n, n))
-    ht = np.zeros(n)
-    for M, scale in zip(scale_lift_matrices(ms), ms.scales):
-        ns = scale.size
-        Js = np.zeros((ns, ns))
-        hs = np.zeros(ns)
-        vo = scale.rmap.vertex_origin
-        for comp in scale.matcher.components:
-            orig = vo[comp.vertices]
-            Js[np.ix_(orig, orig)] += comp.J
-            hs[orig] += comp.h
-        Jt += M.T @ Js @ M
-        ht += M.T @ hs
+    """Residual of the lifted multiscale form against the model."""
+    J, h = _lifted_form(ms)
     J0, h0 = ms.base.aggregate_dense
-    return float(np.max(np.abs(Jt - J0))), float(np.max(np.abs(ht - h0)))
+    return float(np.max(np.abs(J - J0))), float(np.max(np.abs(h - h0)))

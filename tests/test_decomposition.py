@@ -166,6 +166,25 @@ def test_non_square_grid_needs_its_shape(strategy, kw):
         assert not any("fell back" in n for n in rmap.notes)
 
 
+def _build_rmap(builder, config, **kwargs):
+    if builder == "decomposition":
+        return build_decomposition(generate_ising_grid(4, 0.5).graph, config, **kwargs)
+    if builder == "discrete":
+        return build_relaxation(generate_ising_grid(4, 0.5), config, **kwargs).rmap
+    return build_gaussian_relaxation(generate_thin_membrane(4, 0.1), config, **kwargs).rmap
+
+
+@pytest.mark.parametrize("builder", ["decomposition", "discrete", "gaussian"])
+def test_config_object_takes_keyword_overrides(builder):
+    # A DecompositionConfig plus keywords builds what the strategy name plus
+    # the same keywords builds: block=2 on a 4x4 grid gives 9 blocks, not 4.
+    by_object = _build_rmap(builder, DecompositionConfig(strategy="induced-blocks"), block=2)
+    by_name = _build_rmap(builder, "induced-blocks", block=2)
+    assert by_object.n_components == by_name.n_components == 9
+    assert by_object.replica_edges == by_name.replica_edges
+    assert _build_rmap(builder, DecompositionConfig(strategy="induced-blocks")).n_components == 4
+
+
 def test_unknown_strategy():
     with pytest.raises(DecompositionError):
         DecompositionConfig(strategy="magic")

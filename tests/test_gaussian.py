@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lagrelax.gaussian as gaussian
-from lagrelax.decomposition import DecompositionConfig, GaussianComponent
+from lagrelax.decomposition import DecompositionConfig, DecompositionError, GaussianComponent
 from lagrelax.gaussian import (
     GaussClass,
     MomentMatcher,
@@ -100,6 +100,7 @@ class TestSweep:
         with pytest.raises(NotPositiveDefiniteError):
             self.solve_with_corrupt_component(monkeypatch, negate_diagonal)
 
+    @pytest.mark.filterwarnings("error")
     def test_nan_potential_ends_the_sweeps_at_once(self, monkeypatch):
         # A NaN h keeps every block PD, so only the residuals can catch it.
         def build_with_nan(model, config=None, **kwargs):
@@ -165,6 +166,26 @@ class TestSweep:
         rep = solve_gaussian(gm, cfg, tol=1e-12, max_iters=3000)
         assert rep.converged
         assert np.max(np.abs(rep.means - mean)) < 1e-8
+
+    def test_strip_block_over_uncoupled_rows(self):
+        # 2x4 grid without vertical edges: each strip is two components, so
+        # a strip's overlap block spans both; edge classes solve it exactly.
+        rng = np.random.default_rng(3)
+        terms = [((v,), np.array([[0.5]]), rng.normal(size=1)) for v in range(8)]
+        for r in range(2):
+            for c in range(3):
+                v = 4 * r + c
+                terms.append(((v, v + 1), np.array([[1.0, -0.6], [-0.6, 1.0]]), np.zeros(2)))
+        gm = GaussianInfoModel.from_cliques(8, terms)
+        strips = DecompositionConfig(strategy="thin-strips", rows=2, cols=4, strip_width=2, overlap=1)
+        with pytest.raises(DecompositionError, match="spans several components"):
+            build_gaussian_relaxation(gm, strips)
+        mean, _, _ = exact_gaussian_solve(gm)
+        for strategy in ("disjoint-edges", "spanning-trees"):
+            cfg = DecompositionConfig(strategy=strategy, rows=2, cols=4)
+            rep = solve_gaussian(gm, cfg, tol=1e-12, max_iters=3000)
+            assert rep.converged
+            assert np.max(np.abs(rep.means - mean)) < 1e-8
 
     def test_wide_plate_strips_take_no_treewidth_bound(self):
         # 6-column plate strips have a min-fill width of 13, above the

@@ -14,6 +14,7 @@ from lagrelax.multiscale import (
     multiscale_objective,
     solve_multiscale,
     summary_multipliers,
+    v_cycle,
 )
 from lagrelax.oracle import exact_gaussian_solve
 
@@ -21,7 +22,7 @@ from lagrelax.oracle import exact_gaussian_solve
 def test_scale_sizes_dyadic():
     gm = generate_chain_membrane(8, 0.05, seed=0)
     ms = build_multiscale(gm, levels=3, block=2)
-    assert [s.size for s in ms.scales] == [8, 4, 2]
+    assert [s.rmap.n_orig for s in ms.scales] == [8, 4, 2]
 
 
 def test_invalid_geometry():
@@ -31,6 +32,19 @@ def test_invalid_geometry():
     gm2 = generate_thin_membrane(3, 0.05, seed=0)
     with pytest.raises(ModelError):
         build_multiscale(gm2, levels=2, block=2)  # not a chain
+
+
+@pytest.mark.parametrize("block", [0, -1])
+def test_block_below_one_rejected(block):
+    gm = generate_chain_membrane(8, 0.05, seed=0)
+    with pytest.raises(ModelError, match="block"):
+        build_multiscale(gm, levels=2, block=block)
+
+
+def test_at_least_one_iteration():
+    gm = generate_chain_membrane(8, 0.05, seed=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        solve_multiscale(gm, levels=2, block=2, max_iters=0)
 
 
 def test_initial_equivalence_on_lifted_states():
@@ -100,15 +114,7 @@ def test_global_consistency_preserved_through_solve():
     gm = generate_chain_membrane(16, 0.01, seed=4)
     ms = build_multiscale(gm, levels=3, block=2)
     for _ in range(3):
-        for s in range(ms.levels - 1):
-            ms.scales[s].matcher.sweep()
-            for link in ms.links[s]:
-                cross_scale_update(ms, link)
-        ms.scales[-1].matcher.sweep()
-        for s in reversed(range(ms.levels - 1)):
-            for link in ms.links[s]:
-                cross_scale_update(ms, link)
-            ms.scales[s].matcher.sweep()
+        v_cycle(ms)
         dJ, dh = multiscale_consistency_residual(ms)
         assert dJ < 1e-9 and dh < 1e-9
         for scale in ms.scales:
@@ -124,6 +130,7 @@ def test_solve_converges_to_exact_means():
     assert np.max(np.abs(rep.means - mean)) < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
 def test_sweep_cap_and_nan_stop_reasons(monkeypatch):
     import lagrelax.multiscale as multiscale
 
