@@ -11,6 +11,8 @@ vertex count is a perfect square. The solvers then move Lagrange multipliers
 implicitly by mutating the split potentials inside the consistency subspace
 (sum over replicas == original potential). Only discrete relaxations bound
 component width, on their engines' junction trees (`build_relaxation`).
+Gaussian components are stored in one stack per component size, and both
+solvers colour their classes with one first-fit helper.
 """
 
 from __future__ import annotations
@@ -584,6 +586,42 @@ def update_groups(rmap: ReplicationMap, rids) -> list[list[int]]:
     return [[r, hub] for r in rids if r != hub]
 
 
+@dataclass
+class Colour:
+    """Classes that share no component, updated in one array step. A hub
+    class (several update groups) is a colour of its own: `step` then only
+    measures its residual, and `hub_groups` update it one group after
+    another."""
+
+    classes: list
+    step: object
+    hub_groups: list
+
+
+def first_fit_colours(classes, components_of, kind_of, alone) -> list[list]:
+    """Greedy first-fit colouring in class order.
+
+    A class joins the first colour of its kind (`kind_of`) whose classes
+    share no component with it (`components_of`, a set); a class for which
+    `alone` holds gets a colour of its own. Returns the colours as lists of
+    classes.
+    """
+    colours: list[tuple[list, set | None]] = []
+    for cls in classes:
+        if alone(cls):
+            colours.append(([cls], None))
+            continue
+        comps = set(components_of(cls))
+        for members, used in colours:
+            if used is not None and kind_of(members[0]) == kind_of(cls) and used.isdisjoint(comps):
+                members.append(cls)
+                used |= comps
+                break
+        else:
+            colours.append(([cls], comps))
+    return [members for members, _ in colours]
+
+
 def replica_classes(rmap: ReplicationMap):
     """Yield (oid, sorted rids, update groups) for every original hyperedge
     with two or more replicas, smaller hyperedges first."""
@@ -631,7 +669,9 @@ class DiscreteAugmented:
 
 @dataclass
 class GaussianComponent:
-    """Dense information form of one augmented component."""
+    """Dense information form of one augmented component. In a relaxation
+    J and h are views of the component's rows of its `ComponentStack`, so
+    writing to them writes to the stack."""
 
     vertices: list[int]  # augmented ids
     J: np.ndarray
@@ -646,24 +686,66 @@ class GaussianComponent:
 
 
 @dataclass
+class ComponentStack:
+    """The information forms of the components of one size, one row each."""
+
+    J: np.ndarray  # (rows, size, size)
+    h: np.ndarray  # (rows, size)
+    comps: np.ndarray  # component index of each row, ascending
+    vertices: np.ndarray  # (rows, size) augmented ids
+
+
+def stack_components(components) -> list[ComponentStack]:
+    """Copy `components` into one stack per size, in order of first
+    appearance, and rebind each component's J and h to its rows."""
+    by_size: dict[int, list[int]] = {}
+    for ci, comp in enumerate(components):
+        by_size.setdefault(comp.size, []).append(ci)
+    stacks = []
+    for cis in by_size.values():
+        stack = ComponentStack(
+            np.array([components[ci].J for ci in cis], dtype=float),
+            np.array([components[ci].h for ci in cis], dtype=float),
+            np.array(cis),
+            np.array([components[ci].vertices for ci in cis], dtype=int),
+        )
+        for row, ci in enumerate(cis):
+            components[ci].J = stack.J[row]
+            components[ci].h = stack.h[row]
+        stacks.append(stack)
+    return stacks
+
+
+@dataclass
 class GaussianAugmented:
-    """Replicated Gaussian model stored per component."""
+    """Replicated Gaussian model stored per component, in one stack per
+    component size."""
 
     base: GaussianInfoModel
     rmap: ReplicationMap
     components: list[GaussianComponent]
+    stacks: list[ComponentStack]
+
+    @cached_property
+    def _aggregate_index(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per stack: the flat aggregate index of every J entry and h entry."""
+        n = self.rmap.n_orig
+        out = []
+        for stack in self.stacks:
+            orig = self.rmap.vertex_origin[stack.vertices]
+            out.append(((orig[:, :, None] * n + orig[:, None, :]).ravel(), orig.ravel()))
+        return out
 
     def aggregate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sum of the component information forms over the original vertices."""
+        """Sum of the component information forms over the original
+        vertices: one scatter-add per stack."""
         n = self.rmap.n_orig
-        J = np.zeros((n, n))
+        J = np.zeros(n * n)
         h = np.zeros(n)
-        vo = self.rmap.vertex_origin
-        for comp in self.components:
-            orig = vo[comp.vertices]
-            J[np.ix_(orig, orig)] += comp.J
-            h[orig] += comp.h
-        return J, h
+        for stack, (j_index, h_index) in zip(self.stacks, self._aggregate_index):
+            J += np.bincount(j_index, weights=stack.J.ravel(), minlength=n * n)
+            h += np.bincount(h_index, weights=stack.h.ravel(), minlength=n)
+        return J.reshape(n, n), h
 
     def consistency_residual(self) -> tuple[float, float]:
         """Largest |aggregate - original| over J and over h."""
@@ -688,6 +770,7 @@ def split_potentials(model, rmap: ReplicationMap):
             GaussianComponent(verts, np.zeros((len(verts), len(verts))), np.zeros(len(verts)))
             for verts in rmap.component_vertices()
         ]
+        stacks = stack_components(comps)
         term_by_support = {t.vertices: t for t in model.clique_terms}
         for rid, e_aug in enumerate(rmap.replica_edges):
             oid = int(rmap.edge_origin[rid])
@@ -698,9 +781,9 @@ def split_potentials(model, rmap: ReplicationMap):
             r = rmap.replica_count(oid)
             comp = comps[rmap.replica_component(rid)]
             loc = np.array([comp.local[v] for v in e_aug])
-            comp.J[np.ix_(loc, loc)] += term.J / r
+            comp.J[loc[:, None], loc] += term.J / r
             comp.h[loc] += term.h / r
-        return GaussianAugmented(model, rmap, comps)
+        return GaussianAugmented(model, rmap, comps, stacks)
 
     raise ModelError(f"unsupported model type {type(model)!r}")
 

@@ -24,12 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import (
+    Colour,
     DecompositionConfig,
     DecompositionError,
     DiscreteAugmented,
     as_config,
     build_augmented,
     ensure_singletons,
+    first_fit_colours,
     project_assignment,
     replica_classes,
 )
@@ -181,18 +183,6 @@ class _Step:
         return np.max(np.abs(delta))
 
 
-@dataclass
-class Colour:
-    """Classes of one arity whose replicas share no component, updated in
-    one step. A hub class (several update groups) is a colour of its own:
-    `step` then only measures its residual, and `hub_groups` update it one
-    group after another."""
-
-    classes: list[ClassSpec]
-    step: _Step
-    hub_groups: list[_Step]
-
-
 class DiscreteRelaxation:
     """Operational state: augmented tables plus one engine per component
     layout."""
@@ -214,28 +204,21 @@ class DiscreteRelaxation:
         self._vertex_order = np.concatenate(self.rmap.component_vertices())
 
     def _colour_classes(self) -> list[Colour]:
-        """Greedy first-fit colouring in class order; hub classes alone."""
+        """First-fit colours of one arity in class order; hub classes alone."""
         comp = self.rmap.replica_component
-        members: list[tuple[list[ClassSpec], set[int] | None]] = []
-        for cls in self.classes:
-            comps = {comp(r) for r in cls.rids}
-            if len(cls.groups) > 1:
-                members.append(([cls], None))
-                continue
-            for classes, used in members:
-                if used is not None and len(classes[0].edge) == len(cls.edge) and used.isdisjoint(comps):
-                    classes.append(cls)
-                    used |= comps
-                    break
-            else:
-                members.append(([cls], comps))
+        colours = first_fit_colours(
+            self.classes,
+            lambda c: {comp(r) for r in c.rids},
+            lambda c: len(c.edge),
+            lambda c: len(c.groups) > 1,
+        )
         return [
             Colour(
                 classes,
                 _Step(self.engine_of_rid, [c.rids for c in classes]),
-                [] if used is not None else [_Step(self.engine_of_rid, [g]) for g in classes[0].groups],
+                [_Step(self.engine_of_rid, [g]) for g in classes[0].groups] if len(classes[0].groups) > 1 else [],
             )
-            for classes, used in members
+            for classes in colours
         ]
 
     # -- dual evaluations ----------------------------------------------------
@@ -354,7 +337,7 @@ def build_relaxation(
 
 def solve_discrete(
     model: DiscreteFactorModel,
-    strategy: DecompositionConfig | str = "spanning-trees",
+    strategy: DecompositionConfig | str | None = "spanning-trees",
     schedule: TemperatureSchedule | None = None,
     **kwargs,
 ) -> SolveReport:
@@ -372,8 +355,8 @@ def solve_discrete(
     duality-gap flag and the stop reason.
     """
     schedule = schedule or TemperatureSchedule()
-    relax = build_relaxation(model, strategy, **kwargs)
-    strategy_name = strategy if isinstance(strategy, str) else strategy.strategy
+    config = as_config(strategy, "spanning-trees", **kwargs)
+    relax = build_relaxation(model, config)
 
     def stop_after(resid: float, g: float, primal: float, tol: float) -> str | None:
         if not (math.isfinite(resid) and math.isfinite(g)):
@@ -433,7 +416,7 @@ def solve_discrete(
         estimate=best.estimate,
         tie_nodes=sorted(est.tie_nodes),
         node_tables=est.node_tables,
-        strategy=strategy_name,
+        strategy=config.strategy,
         stop_reason=stop_reason,
         notes=notes,
         wall_ms=(time.perf_counter() - t0) * 1e3,

@@ -4,9 +4,19 @@ Each class update equalizes the marginal information forms of a replicated
 vertex set by averaging and re-splitting, which is the exact block
 coordinate step of the log-det regularized dual. Positive definiteness and
 consistency (A^T J' A = J, A^T h' = h) are preserved by construction and
-checked every sweep. Each sweep then factors every component once: that
-one factor checks positive definiteness and gives the means, the
-covariance diagonal and the dual value.
+checked every sweep.
+
+The components' information forms live in one stack per component size
+(`decomposition.ComponentStack`). A sweep runs the classes by colour:
+greedy first fit in class order, where a colour holds classes of one block
+size whose members share no component. Each colour is one array step: one
+gather and one batched Schur complement per (stack, eliminated size), one
+average per class, one scatter of the deltas. Each sweep then factors
+every stack once: that batched factor checks positive definiteness and
+gives the means, the covariance diagonal and the dual value. A batched
+factor that fails or is not finite is redone one component at a time
+through `gaussian_marginal_info` or `gaussian_component_mean`, which
+retry without inactive variables and raise NotPositiveDefiniteError.
 
 `GaussianRelaxation` is the one relaxation type: the single-scale solver
 runs one, and the multiscale solver runs one per scale. `build_matcher`
@@ -23,14 +33,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import (
+    Colour,
     DecompositionConfig,
     DecompositionError,
     GaussianAugmented,
     as_config,
     build_augmented,
+    first_fit_colours,
     replica_classes,
 )
-from .inference import gaussian_component_mean, gaussian_marginal_info
+from .inference import (
+    batched_cholesky,
+    complement,
+    gaussian_component_mean,
+    gaussian_marginal_info,
+)
 from .models import GaussianInfoModel
 from .report import Report
 
@@ -49,57 +66,148 @@ class GaussClass:
     groups: list[list[int]]  # member indices updated together
 
 
+class _Read:
+    """Marginals of members that share a stack and an eliminated size, by
+    one batched Schur complement.
+
+    The flat stack indices of each member's (eliminated, kept) block are
+    built once, so a read is one gather, and the kept-block indices take
+    the deltas back.
+    """
+
+    def __init__(self, stack, members):
+        self.stack = stack
+        self.members = members  # (row, kept, eliminated) local indices
+        self.e = len(members[0][2])
+        n = stack.h.shape[1]
+        rows = np.array([row for row, _, _ in members])[:, None]
+        order = np.array([np.concatenate([elim, locs]) for _, locs, elim in members], dtype=int)
+        self.h_index = rows * n + order
+        self.J_index = self.h_index[:, :, None] * n + order[:, None, :]
+
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        e = self.e
+        J = self.stack.J.take(self.J_index)
+        h = self.stack.h.take(self.h_index)
+        if not e:
+            return J, h
+        L = batched_cholesky(J[:, :e, :e])
+        if L is None:
+            return self._one_by_one()
+        W = np.linalg.solve(L, np.concatenate([J[:, :e, e:], h[:, :e, None]], axis=2))
+        WK = W[:, :, :-1].transpose(0, 2, 1)
+        Jm = J[:, e:, e:] - WK @ W[:, :, :-1]
+        hm = h[:, e:] - (WK @ W[:, :, -1:])[:, :, 0]
+        return 0.5 * (Jm + Jm.transpose(0, 2, 1)), hm
+
+    def _one_by_one(self) -> tuple[np.ndarray, np.ndarray]:
+        """The only per-member path: `gaussian_marginal_info` retries a
+        block without its inactive variables and raises
+        NotPositiveDefiniteError. Nothing is written before it runs."""
+        infos = [
+            gaussian_marginal_info(self.stack.J[row], self.stack.h[row], locs, elim)
+            for row, locs, elim in self.members
+        ]
+        return np.array([J for J, _ in infos]), np.array([h for _, h in infos])
+
+    def add(self, dJ, dh) -> None:
+        """Add the deltas to the members' kept blocks."""
+        e = self.e
+        self.stack.J.reshape(-1)[self.J_index[:, e:, e:]] += dJ
+        self.stack.h.reshape(-1)[self.h_index[:, e:]] += dh
+
+
+class _Step:
+    """Member groups averaged in one array step.
+
+    Members that write in one step sit in distinct components, so reading
+    every member first and adding every delta after is the same as
+    updating the groups one at a time. Members are read per (stack,
+    eliminated size) and stacked group by group.
+    """
+
+    def __init__(self, where, groups):
+        members = [m for g in groups for m in g]
+        sizes = [len(g) for g in groups]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.counts = np.array(sizes, dtype=float)[:, None]
+        self.index = np.repeat(np.arange(len(groups)), sizes)
+        by_read: dict[tuple[int, int], tuple] = {}
+        for pos, (ci, locs, elim) in enumerate(members):
+            stack, row = where[ci]
+            _, read_members, where_pos = by_read.setdefault((id(stack), len(elim)), (stack, [], []))
+            read_members.append((row, locs, elim))
+            where_pos.append(pos)
+        self.reads = [(_Read(stack, ms), np.array(pos)) for stack, ms, pos in by_read.values()]
+        self.shape = (len(members), len(members[0][1]))
+
+    def average(self, write: bool) -> float:
+        """Average each group's marginal information forms, adding the
+        deltas when `write`. Returns the largest pre-update disagreement,
+        NaN when any marginal is NaN."""
+        m, k = self.shape
+        J = np.empty((m, k, k))
+        h = np.empty((m, k))
+        for read, pos in self.reads:
+            J[pos], h[pos] = read.marginals()
+        dh = (np.add.reduceat(h, self.starts) / self.counts)[self.index] - h
+        dJ = (np.add.reduceat(J, self.starts) / self.counts[:, :, None])[self.index] - J
+        if write:
+            for read, pos in self.reads:
+                read.add(dJ[pos], dh[pos])
+        return float(np.maximum(np.max(np.abs(dJ)), np.max(np.abs(dh))))
+
+
 class MomentMatcher:
     """Moment-matching sweeps over a list of components and classes.
 
     Every `GaussianRelaxation` sweeps through one, whatever its scale; it
-    knows nothing about the original model.
+    knows nothing about the original model. The components' forms are rows
+    of `stacks` (`decomposition.stack_components`). Classes run in greedy
+    first-fit colours: classes of one block size whose members share no
+    component update in one array step; a hub class, whose members share a
+    component, is a colour of its own and updates one group after another.
     """
 
-    def __init__(self, components, classes: list[GaussClass]):
+    def __init__(self, components, classes: list[GaussClass], stacks):
         self.components = components
         self.classes = classes
+        where = {int(ci): (stack, row) for stack in stacks for row, ci in enumerate(stack.comps)}
+        colours = first_fit_colours(
+            classes,
+            lambda c: {ci for ci, _, _ in c.members},
+            lambda c: len(c.key),
+            lambda c: len(c.groups) > 1,
+        )
+        self.colours = [
+            Colour(
+                colour,
+                _Step(where, [c.members for c in colour]),
+                [_Step(where, [[colour[0].members[i] for i in g]]) for g in colour[0].groups]
+                if len(colour[0].groups) > 1
+                else [],
+            )
+            for colour in colours
+        ]
 
     def marginal(self, ci: int, locs, elim=None) -> tuple[np.ndarray, np.ndarray]:
         comp = self.components[ci]
         return gaussian_marginal_info(comp.J, comp.h, locs, elim=elim)
 
-    def _member_infos(self, cls: GaussClass, idxs):
-        return [self.marginal(*cls.members[i]) for i in idxs]
-
-    def _apply(self, cls: GaussClass, idxs, infos):
-        Jbar = sum(J for J, _ in infos) / len(infos)
-        hbar = sum(h for _, h in infos) / len(infos)
-        for i, (J, h) in zip(idxs, infos):
-            ci, locs, _ = cls.members[i]
-            comp = self.components[ci]
-            comp.J[np.ix_(locs, locs)] += Jbar - J
-            comp.h[locs] += hbar - h
-
     def sweep(self) -> float:
-        """One pass over all classes; returns the peak pre-update disagreement
-        (NaN when any marginal is NaN)."""
+        """One pass over all colours; returns the peak pre-update
+        disagreement (NaN when any marginal is NaN)."""
         resids = []
-        for cls in self.classes:
-            infos = self._member_infos(cls, range(len(cls.members)))
-            Jbar = sum(J for J, _ in infos) / len(infos)
-            hbar = sum(h for _, h in infos) / len(infos)
-            for J, h in infos:
-                resids += [np.max(np.abs(J - Jbar)), np.max(np.abs(h - hbar))]
-            if len(cls.groups) == 1:
-                self._apply(cls, cls.groups[0], infos)
-            else:
-                for group in cls.groups:
-                    self._apply(cls, group, self._member_infos(cls, group))
+        for colour in self.colours:
+            resids.append(colour.step.average(write=not colour.hub_groups))
+            for group in colour.hub_groups:
+                group.average(write=True)
         return float(np.max(resids, initial=0.0))
 
 
-def replica_average(rmap, components, values):
+def replica_average(rmap, per_aug):
     """Per original vertex of `rmap`: the mean of its replicas' entries in
-    `values` (one vector per component) and their spread, max - min."""
-    per_aug = np.empty(rmap.n_aug)
-    for comp, vals in zip(components, values):
-        per_aug[comp.vertices] = vals
+    `per_aug` (one per augmented vertex) and their spread, max - min."""
     origin = rmap.vertex_origin
     n = rmap.n_orig
     mean = np.bincount(origin, weights=per_aug, minlength=n) / np.bincount(origin, minlength=n)
@@ -111,13 +219,14 @@ def replica_average(rmap, components, values):
     return mean, hi - lo
 
 
-def build_matcher(rmap, components) -> MomentMatcher:
-    """Moment matcher over the block classes of `rmap` when it has them,
-    else over its hyperedge classes.
+def build_matcher(aug: GaussianAugmented) -> MomentMatcher:
+    """Moment matcher over the block classes of `aug.rmap` when it has
+    them, else over its hyperedge classes.
 
     Raises DecompositionError when a block's replica spans several
     components (a strip whose rows are not coupled).
     """
+    rmap, components = aug.rmap, aug.components
     if rmap.block_classes:
         specs = [(key, reps, [list(range(len(reps)))]) for key, reps in rmap.block_classes]
     else:
@@ -139,10 +248,10 @@ def build_matcher(rmap, components) -> MomentMatcher:
                 raise DecompositionError(f"agreement block {key} spans several components")
             comp = components[ci]
             locs = np.array([comp.local[v] for v in aug_verts])
-            elim = np.setdiff1d(np.arange(comp.size), locs)
+            elim = complement(comp.size, locs)
             members.append((ci, locs, elim))
         classes.append(GaussClass(key, members, groups))
-    return MomentMatcher(components, classes)
+    return MomentMatcher(components, classes, aug.stacks)
 
 
 @dataclass
@@ -153,7 +262,7 @@ class NodeStats:
     mean_spread: float  # largest cross-replica max - min of the means
     var_spread: float  # the same for the variances
     dual: float  # sum of the component values
-    component_var: list[np.ndarray]  # covariance diagonal per component
+    var: np.ndarray  # covariance diagonal per augmented vertex
 
 
 class GaussianRelaxation:
@@ -162,29 +271,34 @@ class GaussianRelaxation:
     def __init__(self, aug: GaussianAugmented):
         self.aug = aug
         self.rmap = aug.rmap
-        self.matcher = build_matcher(aug.rmap, aug.components)
+        self.matcher = build_matcher(aug)
 
     @property
     def classes(self) -> list[GaussClass]:
         return self.matcher.classes
 
     def node_stats(self) -> NodeStats:
-        """Factor every component once and average its mean and variance
-        over each original node's replicas.
+        """Factor every stack once and average each original node's mean
+        and variance over its replicas.
 
         Raises NotPositiveDefiniteError when a component is not positive
         definite or not finite.
         """
-        comps = self.aug.components
-        means, variances, values = zip(*(gaussian_component_mean(c.J, c.h) for c in comps))
-        mean, mean_spread = replica_average(self.rmap, comps, means)
-        _, var_spread = replica_average(self.rmap, comps, variances)
+        mean_aug = np.empty(self.rmap.n_aug)
+        var_aug = np.empty(self.rmap.n_aug)
+        dual = 0.0
+        for stack in self.aug.stacks:
+            mean, var, values = gaussian_component_mean(stack.J, stack.h)
+            mean_aug[stack.vertices], var_aug[stack.vertices] = mean, var
+            dual += float(np.sum(values))
+        mean, mean_spread = replica_average(self.rmap, mean_aug)
+        _, var_spread = replica_average(self.rmap, var_aug)
         return NodeStats(
             mean=mean,
             mean_spread=float(np.max(mean_spread)),
             var_spread=float(np.max(var_spread)),
-            dual=float(sum(values)),
-            component_var=list(variances),
+            dual=dual,
+            var=var_aug,
         )
 
     def node_variance_bounds(self, stats: NodeStats):
@@ -194,8 +308,7 @@ class GaussianRelaxation:
         Jbar_v averages the replicas' marginal precisions 1/Sigma_vv, read
         from `stats`.
         """
-        precs = [1.0 / d for d in stats.component_var]
-        jbar, _ = replica_average(self.rmap, self.aug.components, precs)
+        jbar, _ = replica_average(self.rmap, 1.0 / stats.var)
         loose = 1.0 / jbar
         comp_of = self.rmap.component_of_vertex
         tight = loose.copy()
@@ -265,7 +378,7 @@ def build_gaussian_relaxation(
 
 def solve_gaussian(
     model: GaussianInfoModel,
-    strategy: DecompositionConfig | str = "thin-strips",
+    strategy: DecompositionConfig | str | None = "thin-strips",
     *,
     tol: float = 1e-8,
     max_iters: int = 500,
@@ -282,8 +395,8 @@ def solve_gaussian(
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    relax = build_gaussian_relaxation(model, strategy, **kwargs)
-    strategy_name = strategy if isinstance(strategy, str) else strategy.strategy
+    config = as_config(strategy, "thin-strips", **kwargs)
+    relax = build_gaussian_relaxation(model, config)
     t0 = time.perf_counter()
     trace: list[GaussianTraceEntry] = []
     consistency_max = 0.0
@@ -321,7 +434,7 @@ def solve_gaussian(
         variance_bound=loose,
         variance_bound_tight=tight,
         consistency_max=consistency_max,
-        strategy=strategy_name,
+        strategy=config.strategy,
         stop_reason=stop_reason,
         notes=list(relax.rmap.notes),
         wall_ms=(time.perf_counter() - t0) * 1e3,

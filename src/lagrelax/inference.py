@@ -17,7 +17,8 @@ a replica slot or of a vertex.
 Gaussian components are dense: a marginal information form is one Schur
 complement through a Cholesky factor of the eliminated block. A
 component's positive-definiteness check, mean, covariance diagonal and
-value all come from one factor of its active block (`factor_active`).
+value all come from one factor of its active block (`factor_active`); a
+stack of equal-size components is read through one batched factor.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .models import LABELS, NotPositiveDefiniteError
 
@@ -455,16 +455,22 @@ def build_engines(aug) -> list[SubgraphEngine]:
 DENSE_LIMIT = 64
 
 
+def complement(n: int, idx) -> np.ndarray:
+    """The indices of range(n) outside `idx`, ascending."""
+    mask = np.ones(n, dtype=bool)
+    mask[idx] = False
+    return np.flatnonzero(mask)
+
+
 def factor_active(J, h, subset=None):
     """Cholesky factor of the active block of a component's information form.
 
     A variable is active when its row of J has a nonzero entry; inactive
     rows occur on summary scales before their first cross-scale update.
     Returns the active indices (within `subset` when given) and their
-    lower factor in `cho_solve` form, or None when no index is active.
-    Raises NotPositiveDefiniteError for a potential on an uncoupled
-    variable and for an active block that is not positive definite or not
-    finite.
+    lower factor, or None when no index is active. Raises
+    NotPositiveDefiniteError for a potential on an uncoupled variable and
+    for an active block that is not positive definite or not finite.
     """
     coupled = J.any(axis=0)
     if not coupled.all():
@@ -481,14 +487,13 @@ def factor_active(J, h, subset=None):
     if not idx.size:
         return idx, None
     block = J if subset is None and idx.size == J.shape[0] else J[np.ix_(idx, idx)]
-    try:
-        L = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"active block not PD: {exc}") from exc
+    L, info = dpotrf(block, lower=1)
+    if info:
+        raise NotPositiveDefiniteError(f"active block not PD: leading minor {info} is not positive")
     # LAPACK may pass NaN through without failing; it reaches the diagonal.
     if not math.isfinite(L.trace()):
         raise NotPositiveDefiniteError("active block is not finite")
-    return idx, (L, True)
+    return idx, L
 
 
 def gaussian_marginal_info(J, h, keep, elim=None):
@@ -501,41 +506,64 @@ def gaussian_marginal_info(J, h, keep, elim=None):
     """
     J = np.asarray(J, dtype=float)
     h = np.asarray(h, dtype=float)
-    keep = [int(k) for k in keep]
+    keep = np.asarray(keep, dtype=int)
     if elim is None:
-        kept = set(keep)
-        elim = [i for i in range(J.shape[0]) if i not in kept]
+        elim = complement(J.shape[0], keep)
+    Jkk = J[keep[:, None], keep]
     if len(elim) == 0:
-        return J[np.ix_(keep, keep)].copy(), h[keep].copy()
-    try:
-        chol = cho_factor(J[np.ix_(elim, elim)], check_finite=False)
-    except np.linalg.LinAlgError:
-        elim, chol = factor_active(J, h, elim)
-        if chol is None:
-            return J[np.ix_(keep, keep)].copy(), h[keep].copy()
-    Jce = J[np.ix_(elim, keep)]
-    rhs = np.concatenate([Jce, h[elim][:, None]], axis=1)
-    sol = cho_solve(chol, rhs, check_finite=False)
-    Jm = J[np.ix_(keep, keep)] - Jce.T @ sol[:, :-1]
+        return Jkk, h[keep]
+    elim = np.asarray(elim, dtype=int)
+    L, info = dpotrf(J[elim[:, None], elim], lower=1)
+    if info:
+        elim, L = factor_active(J, h, elim)
+        if L is None:
+            return Jkk, h[keep]
+    Jce = J[elim[:, None], keep]
+    sol, _ = dpotrs(L, np.column_stack([Jce, h[elim]]), lower=1)
+    Jm = Jkk - Jce.T @ sol[:, :-1]
     hm = h[keep] - Jce.T @ sol[:, -1]
     return 0.5 * (Jm + Jm.T), hm
 
 
-# The one per-component read, and the only name behind the benchmark's
+def batched_cholesky(blocks):
+    """Lower Cholesky factors of a stack of blocks, or None when one is not
+    positive definite or a factor is not finite (LAPACK may pass NaN
+    through without failing)."""
+    try:
+        L = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return None
+    return L if np.isfinite(L).all() else None
+
+
+# The one component read, and the only name behind the benchmark's
 # `inference.component_solve_s` (perfbench/tracer.py), hence its name.
 def gaussian_component_mean(J, h):
     """Mean, covariance diagonal and value max_x -1/2 x J x + h x = 1/2 h^T mu
-    of one component, from one `factor_active` factor of its active block.
+    of one component, or of every row of a stack (J of shape (rows, n, n),
+    h of shape (rows, n)).
 
-    Raises NotPositiveDefiniteError as `factor_active` does. An inactive
-    variable has mean 0 and infinite variance.
+    A component is read from one `factor_active` factor of its active
+    block, and raises NotPositiveDefiniteError as `factor_active` does; an
+    inactive variable has mean 0 and infinite variance. A stack is read
+    from one batched Cholesky factor; a stack with an inactive variable,
+    or whose factor fails or is not finite, is read one row at a time.
     """
-    idx, chol = factor_active(J, h)
+    if J.ndim == 3:
+        L = batched_cholesky(J) if J.any(axis=1).all() else None
+        if L is None:
+            means, variances, values = zip(*map(gaussian_component_mean, J, h))
+            return np.array(means), np.array(variances), np.array(values)
+        Linv = np.linalg.solve(L, np.broadcast_to(np.eye(J.shape[1]), J.shape))
+        mean = np.einsum("bij,bi->bj", Linv, np.einsum("bij,bj->bi", Linv, h))
+        var = np.einsum("bij,bij->bj", Linv, Linv)
+        return mean, var, 0.5 * np.einsum("bi,bi->b", h, mean)
+    idx, L = factor_active(J, h)
     mean = np.zeros(J.shape[0])
     var = np.full(J.shape[0], np.inf)
-    if chol is not None:
-        mean[idx] = cho_solve(chol, h[idx], check_finite=False)
+    if L is not None:
+        mean[idx], _ = dpotrs(L, h[idx], lower=1)
         # Sigma = L^-T L^-1, so Sigma_vv is the squared norm of column v of L^-1.
-        Linv, _ = dtrtri(chol[0], lower=1)
+        Linv, _ = dtrtri(L, lower=1)
         var[idx] = np.einsum("ij,ij->j", Linv, Linv)
     return mean, var, float(0.5 * h @ mean)

@@ -7,7 +7,10 @@ potentials. Cross-scale updates move potential mass between a fine block
 and its summary variables so that their marginal moments agree, while the
 constrained multiscale model, sum_s M_s^T (J_s, h_s) M_s with M_s the
 block-average map from the original variables to scale s, stays equal to
-the original chain. In-scale replica matching is the single-scale sweep.
+the original chain. In-scale replica matching is the single-scale sweep,
+which runs each scale's classes colour by colour on its component stacks.
+Cross-scale updates run one link at a time in V-cycle order; each link
+carries its index plans, built with it in `build_multiscale`.
 
 2D lattices would use the same types with block summaries per axis; only
 the 1D construction is wired up and tested here.
@@ -23,7 +26,7 @@ import numpy as np
 
 from .decomposition import DecompositionConfig, build_augmented
 from .gaussian import GaussianRelaxation
-from .inference import factor_active
+from .inference import complement, factor_active, gaussian_marginal_info
 from .models import GaussianInfoModel, Hypergraph, ModelError, NotPositiveDefiniteError
 from .report import Report
 
@@ -35,15 +38,23 @@ class CrossLink:
     Links are built per coarse-scale clique (adjacent summary pairs), so
     the update also populates coarse interaction potentials; its pullback
     lands on the extra block-pair interactions inside a fine component.
+    Each block carries its kept and eliminated local indices, and its
+    index plan is built with the link.
     """
 
     fine_scale: int
     coarse_vars: tuple[int, ...]
     fine_comp: int
     fine_locs: np.ndarray
+    fine_elim: np.ndarray
     coarse_comp: int
     coarse_locs: np.ndarray
+    coarse_elim: np.ndarray
     A: np.ndarray  # len(coarse_vars) x len(fine_locs) averaging map
+
+    def __post_init__(self):
+        self.fine_block = (self.fine_locs[:, None], self.fine_locs)
+        self.coarse_block = (self.coarse_locs[:, None], self.coarse_locs)
 
 
 @dataclass
@@ -112,16 +123,18 @@ def build_multiscale(
         pair_links = []
         for cvars in cliques:
             fine_vars = [v for i in cvars for v in range(i * block, (i + 1) * block)]
-            fci, flocs = _canonical_block(fine, fine_vars)
-            cci, clocs = _canonical_block(coarse, list(cvars))
+            fci, flocs, felim = _canonical_block(fine, fine_vars)
+            cci, clocs, celim = _canonical_block(coarse, list(cvars))
             pair_links.append(
                 CrossLink(
                     fine_scale=s,
                     coarse_vars=cvars,
                     fine_comp=fci,
                     fine_locs=flocs,
+                    fine_elim=felim,
                     coarse_comp=cci,
                     coarse_locs=clocs,
+                    coarse_elim=celim,
                     A=_block_average(len(cvars), block),
                 )
             )
@@ -130,7 +143,8 @@ def build_multiscale(
 
 
 def _canonical_block(scale: GaussianRelaxation, block_vars):
-    """First component holding a full copy of the block, with local indices."""
+    """First component holding a full copy of the block, with the block's
+    local indices and the rest of the component's."""
     rmap = scale.rmap
     # per block variable: owning component -> its replica there (each strip
     # holds one copy of a variable)
@@ -142,7 +156,8 @@ def _canonical_block(scale: GaussianRelaxation, block_vars):
         raise ModelError(f"no component contains block {block_vars}")
     ci = min(shared)
     comp = scale.aug.components[ci]
-    return ci, np.array([comp.local[own[ci]] for own in owners])
+    locs = np.array([comp.local[own[ci]] for own in owners])
+    return ci, locs, complement(comp.size, locs)
 
 
 def summary_multipliers(A, J1, h1, J2, h2):
@@ -152,17 +167,18 @@ def summary_multipliers(A, J1, h1, J2, h2):
     (J2, h2) of its summary variables under the map x2 = A x1, returns
     (Lambda, lambda) such that adding them to the coarse side and
     subtracting (A^T Lambda A, A^T lambda) from the fine side makes the
-    post-update moments satisfy x2 = A x1 and P2 = A P1 A^T.
+    post-update moments satisfy x2 = A x1 and P2 = A P1 A^T. The fine
+    block is solved once, for [A^T | h1].
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     J1 = np.atleast_2d(np.asarray(J1, dtype=float))
     J2 = np.atleast_2d(np.asarray(J2, dtype=float))
     h1 = np.atleast_1d(np.asarray(h1, dtype=float))
     h2 = np.atleast_1d(np.asarray(h2, dtype=float))
-    M = A @ np.linalg.solve(J1, A.T)
-    Minv = np.linalg.inv(M)
+    S = A @ np.linalg.solve(J1, np.column_stack([A.T, h1]))
+    Minv = np.linalg.inv(S[:, :-1])
     Lam = 0.5 * (Minv - J2)
-    lam = 0.5 * (Minv @ A @ np.linalg.solve(J1, h1) - h2)
+    lam = 0.5 * (Minv @ S[:, -1] - h2)
     return Lam, lam
 
 
@@ -173,32 +189,30 @@ def cross_scale_update(ms: MultiscaleModel, link: CrossLink) -> float:
     pullback from the fine block. A failing factorization triggers one
     damped (halved) retry before raising.
     """
-    fine = ms.scales[link.fine_scale].matcher
-    coarse = ms.scales[link.fine_scale + 1].matcher
-    J1, h1 = fine.marginal(link.fine_comp, link.fine_locs)
-    J2, h2 = coarse.marginal(link.coarse_comp, link.coarse_locs)
+    fcomp = ms.scales[link.fine_scale].aug.components[link.fine_comp]
+    ccomp = ms.scales[link.fine_scale + 1].aug.components[link.coarse_comp]
+    J1, h1 = gaussian_marginal_info(fcomp.J, fcomp.h, link.fine_locs, link.fine_elim)
+    J2, h2 = gaussian_marginal_info(ccomp.J, ccomp.h, link.coarse_locs, link.coarse_elim)
     A = link.A
     Lam, lam = summary_multipliers(A, J1, h1, J2, h2)
     resid = float(np.maximum(np.max(np.abs(Lam)), np.max(np.abs(lam))))
 
-    fcomp = fine.components[link.fine_comp]
-    ccomp = coarse.components[link.coarse_comp]
-    locs = link.fine_locs
-    clocs = link.coarse_locs
+    fine, coarse = link.fine_block, link.coarse_block
+    locs, clocs = link.fine_locs, link.coarse_locs
     for scale in (1.0, 0.5):
         dJc, dhc = scale * Lam, scale * lam
         dJf, dhf = A.T @ dJc @ A, A.T @ dhc
-        ccomp.J[np.ix_(clocs, clocs)] += dJc
+        ccomp.J[coarse] += dJc
         ccomp.h[clocs] += dhc
-        fcomp.J[np.ix_(locs, locs)] -= dJf
+        fcomp.J[fine] -= dJf
         fcomp.h[locs] -= dhf
         try:
             factor_active(fcomp.J, fcomp.h)
             factor_active(ccomp.J, ccomp.h)
         except NotPositiveDefiniteError:
-            ccomp.J[np.ix_(clocs, clocs)] -= dJc
+            ccomp.J[coarse] -= dJc
             ccomp.h[clocs] -= dhc
-            fcomp.J[np.ix_(locs, locs)] += dJf
+            fcomp.J[fine] += dJf
             fcomp.h[locs] += dhf
             continue
         return resid

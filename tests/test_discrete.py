@@ -346,6 +346,10 @@ class TestSolve:
             assert meets[-1] and not any(meets[:-1])
             assert rep.converged
 
+    def test_no_strategy_means_spanning_trees(self):
+        rep = solve_discrete(generate_ising_grid(3, 1.0, "attractive", seed=0), None, rows=3, cols=3)
+        assert rep.strategy == "spanning-trees"
+
     def test_sweep_cap_is_not_convergence(self):
         m = generate_ising_grid(3, 1.0, "frustrated", seed=0)
         sched = TemperatureSchedule(max_sweeps_per_tau=1, inner_tol=1e-12)

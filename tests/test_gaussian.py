@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lagrelax.gaussian as gaussian
-from lagrelax.decomposition import DecompositionConfig, DecompositionError, GaussianComponent
+from lagrelax.decomposition import (
+    DecompositionConfig,
+    DecompositionError,
+    GaussianComponent,
+    stack_components,
+)
 from lagrelax.gaussian import (
     GaussClass,
     MomentMatcher,
@@ -27,7 +33,160 @@ def matcher_of_two_singletons(j0, j1, h0=0.0, h1=0.0):
         [(0, np.array([0]), np.array([], dtype=int)), (1, np.array([0]), np.array([], dtype=int))],
         [[0, 1]],
     )
-    return MomentMatcher([c0, c1], [cls])
+    return MomentMatcher([c0, c1], [cls], stack_components([c0, c1]))
+
+
+def rect_membrane(rows, cols, eps, seed):
+    """Smoothness prior on a rows x cols grid, eps spread over the cliques."""
+    rng = np.random.default_rng(seed)
+    n = rows * cols
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % cols] + [(v, v + cols) for v in range(n - cols)]
+    count = np.ones(n)
+    for e in edges:
+        count[list(e)] += 1
+    terms = [((v,), np.array([[eps / count[v]]]), rng.normal(size=1)) for v in range(n)]
+    for e in edges:
+        J = 2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]) + np.diag(eps / count[list(e)])
+        terms.append((e, J, np.zeros(2)))
+    return GaussianInfoModel.from_cliques(n, terms)
+
+
+def class_by_class_sweep(matcher):
+    """The colour order run one class at a time, each member read with
+    `gaussian_marginal_info` and updated on its own."""
+
+    def infos(cls, idxs):
+        return [matcher.marginal(*cls.members[i]) for i in idxs]
+
+    def apply(cls, idxs, got):
+        Jbar = sum(J for J, _ in got) / len(got)
+        hbar = sum(h for _, h in got) / len(got)
+        for i, (J, h) in zip(idxs, got):
+            ci, locs, _ = cls.members[i]
+            comp = matcher.components[ci]
+            comp.J[np.ix_(locs, locs)] += Jbar - J
+            comp.h[locs] += hbar - h
+
+    resids = []
+    for colour in matcher.colours:
+        for cls in colour.classes:
+            every = range(len(cls.members))
+            got = infos(cls, every)
+            Jbar = sum(J for J, _ in got) / len(got)
+            hbar = sum(h for _, h in got) / len(got)
+            for J, h in got:
+                resids += [np.max(np.abs(J - Jbar)), np.max(np.abs(h - hbar))]
+            if len(cls.groups) == 1:
+                apply(cls, every, got)
+            else:
+                for group in cls.groups:
+                    apply(cls, group, infos(cls, group))
+    return float(np.max(resids, initial=0.0))
+
+
+def assert_same_forms(a, b, tol):
+    for ca, cb in zip(a.components, b.components):
+        assert np.max(np.abs(ca.J - cb.J)) <= tol
+        assert np.max(np.abs(ca.h - cb.h)) <= tol
+
+
+SWEEP_CASES = {
+    # family, rows, cols, strategy, strip width K, overlap L
+    "membrane strips": (generate_thin_membrane, 6, 6, "thin-strips", 3, 1),
+    "plate strips": (generate_thin_plate, 6, 6, "thin-strips", 4, 2),
+    "chain": (generate_chain_membrane, 1, 24, "thin-strips", 4, 2),
+    "11x10 blocks of 12 and 10": (rect_membrane, 11, 10, "thin-strips", 6, 2),
+    # a stack of one 41-vertex tree plus leaf copies and a stack of eight
+    # one-vertex hubs, with hub colours
+    "tree-plus-leaves": (generate_thin_membrane, 5, 5, "tree-plus-leaves", 2, 1),
+    "disjoint-edges": (generate_thin_membrane, 4, 4, "disjoint-edges", 2, 1),
+}
+
+
+def sweep_case(name, seed):
+    family, rows, cols, strategy, K, L = SWEEP_CASES[name]
+    eps = float(np.random.default_rng(seed).uniform(0.01, 0.2))
+    if family is rect_membrane:
+        model = rect_membrane(rows, cols, eps, seed)
+    elif family is generate_chain_membrane:
+        model = family(cols, eps, seed=seed)
+    else:
+        model = family(rows, eps, seed=seed)
+    cfg = DecompositionConfig(strategy=strategy, rows=rows, cols=cols, strip_width=K, overlap=L)
+    return build_gaussian_relaxation(model, cfg), build_gaussian_relaxation(model, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_coloured_sweep_matches_class_by_class(name, seed):
+    batched, reference = sweep_case(name, seed)
+    matcher = batched.matcher
+    for colour in matcher.colours:
+        assert len({len(c.key) for c in colour.classes}) == 1
+        if colour.hub_groups:
+            assert len(colour.classes) == 1
+            continue
+        comps = [ci for c in colour.classes for ci, _, _ in c.members]
+        assert len(comps) == len(set(comps))
+    assert sorted(c.key for col in matcher.colours for c in col.classes) == sorted(
+        c.key for c in matcher.classes
+    )
+    for _ in range(3):
+        got = matcher.sweep()
+        assert got == pytest.approx(class_by_class_sweep(reference.matcher), abs=1e-12)
+        assert_same_forms(matcher, reference.matcher, 1e-12)
+        for stack in batched.aug.stacks:
+            for row, ci in enumerate(stack.comps):
+                assert np.shares_memory(stack.J[row], matcher.components[ci].J)
+            # the batched stack read against the one-component read
+            rows = [gaussian_component_mean(J, h) for J, h in zip(stack.J, stack.h)]
+            for got_part, ref_part in zip(gaussian_component_mean(stack.J, stack.h), zip(*rows)):
+                np.testing.assert_allclose(got_part, np.array(ref_part), rtol=1e-10, atol=1e-12)
+
+
+def test_mixed_size_stacks():
+    batched, _ = sweep_case("tree-plus-leaves", 0)
+    shapes = sorted(stack.J.shape for stack in batched.aug.stacks)
+    assert shapes == [(1, 41, 41), (8, 1, 1)]
+    assert sum(bool(colour.hub_groups) for colour in batched.matcher.colours) == 8
+
+
+def test_non_pd_eliminated_block_raises():
+    # A class member whose eliminated block is not PD fails the batched
+    # factor; the one-member redo raises, as the per-member read does.
+    batched, reference = sweep_case("membrane strips", 3)
+    for relax in (batched, reference):
+        ci, _, elim = relax.classes[0].members[0]
+        J = relax.aug.components[ci].J
+        J[elim[0], elim[0]] = -J[elim[0], elim[0]]
+    with pytest.raises(NotPositiveDefiniteError):
+        class_by_class_sweep(reference.matcher)
+    with pytest.raises(NotPositiveDefiniteError):
+        batched.matcher.sweep()
+
+
+def test_aggregate_equals_component_loop():
+    for name in ("membrane strips", "tree-plus-leaves", "disjoint-edges"):
+        relax, _ = sweep_case(name, 1)
+        aug = relax.aug
+        dJ, dh = aug.consistency_residual()
+        assert dJ < 1e-12 and dh < 1e-12
+        for _ in range(2):
+            relax.matcher.sweep()
+        n = aug.rmap.n_orig
+        J = np.zeros((n, n))
+        h = np.zeros(n)
+        for comp in aug.components:
+            # np.add.at, because a tree-plus-leaves component holds two
+            # copies of a leaf's vertex
+            orig = aug.rmap.vertex_origin[comp.vertices]
+            np.add.at(J, (orig[:, None], orig), comp.J)
+            np.add.at(h, orig, comp.h)
+        got_J, got_h = aug.aggregate()
+        # per-stack sums may associate differently from the loop
+        np.testing.assert_allclose(got_J, J, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(got_h, h, rtol=1e-14, atol=1e-14)
 
 
 class TestDualValue:
@@ -127,19 +286,21 @@ class TestSweep:
         assert m.components[0].h[0] + m.components[1].h[0] == pytest.approx(before_h)
 
     def test_replica_marginals_equal_after_update(self):
-        gm = generate_thin_membrane(4, 0.05, seed=5)
+        # After a colour's step, every class of that colour has equal member
+        # marginals; a colour holds several classes here.
+        gm = generate_thin_membrane(6, 0.05, seed=5)
         cfg = DecompositionConfig(
-            strategy="thin-strips", rows=4, cols=4, strip_width=2, overlap=2
+            strategy="thin-strips", rows=6, cols=6, strip_width=2, overlap=1
         )
-        relax = build_gaussian_relaxation(gm, cfg)
-        matcher = relax.matcher
-        cls = matcher.classes[0]
-        infos = matcher._member_infos(cls, range(len(cls.members)))
-        matcher._apply(cls, list(range(len(cls.members))), infos)
-        fresh = matcher._member_infos(cls, range(len(cls.members)))
-        for (Ja, ha), (Jb, hb) in zip(fresh, fresh[1:]):
-            assert np.max(np.abs(Ja - Jb)) < 1e-12
-            assert np.max(np.abs(ha - hb)) < 1e-12
+        matcher = build_gaussian_relaxation(gm, cfg).matcher
+        assert max(len(colour.classes) for colour in matcher.colours) > 1
+        for colour in matcher.colours:
+            colour.step.average(write=True)
+            for cls in colour.classes:
+                fresh = [matcher.marginal(*m) for m in cls.members]
+                for (Ja, ha), (Jb, hb) in zip(fresh, fresh[1:]):
+                    assert np.max(np.abs(Ja - Jb)) < 1e-12
+                    assert np.max(np.abs(ha - hb)) < 1e-12
 
     def test_two_by_two_grid_edge_chains(self):
         # 2x2 grid broken into its four edges: 2-node chains sharing every
@@ -214,27 +375,35 @@ class TestInvariants:
             relax.node_stats()  # raises when a component is not PD
 
     def test_one_factor_per_component_per_sweep(self, monkeypatch):
-        # Each sweep reads every component through one Cholesky factor, the
-        # report reuses the last read, and no covariance comes from inv.
+        # Each sweep factors every class member's eliminated block once and
+        # every component once, in batched Cholesky calls; the report
+        # reuses the last read, and no covariance comes from inv.
         gm = generate_thin_membrane(6, 0.05, seed=3)
         cfg = DecompositionConfig(
             strategy="thin-strips", rows=6, cols=6, strip_width=3, overlap=2
         )
-        components = len(build_gaussian_relaxation(gm, cfg).aug.components)
+        matcher = build_gaussian_relaxation(gm, cfg).matcher
+        components = len(matcher.components)
+        members = sum(len(cls.members) for cls in matcher.classes)
         calls = {"cholesky": 0, "inv": 0}
+        factored = []
 
         def counted(name, fn):
-            def wrapper(*args, **kwargs):
+            def wrapper(a, *args, **kwargs):
                 calls[name] += 1
-                return fn(*args, **kwargs)
+                if name == "cholesky":
+                    factored.append(len(a) if np.ndim(a) == 3 else 1)
+                return fn(a, *args, **kwargs)
 
             return wrapper
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         rep = solve_gaussian(gm, cfg, tol=1e-9, max_iters=2000)
-        assert (rep.iterations, components) == (196, 4)
-        assert calls == {"cholesky": rep.iterations * components, "inv": 0}
+        assert (rep.iterations, components, members, len(matcher.colours)) == (196, 4, 12, 4)
+        # one call per colour and one for the single stack of components
+        assert calls == {"cholesky": rep.iterations * 5, "inv": 0}
+        assert sum(factored) == rep.iterations * (components + members)
 
     def test_already_thin_chain_converges_immediately(self):
         gm = generate_chain_membrane(6, 0.1, seed=0)
@@ -339,6 +508,11 @@ class TestSolveReport:
         rep = solve_gaussian(gm, cfg, tol=1e-12, max_iters=3)
         assert not rep.converged and rep.stop_reason == "sweep_cap"
         assert rep.iterations == 3
+
+    def test_no_strategy_means_thin_strips(self):
+        gm = generate_thin_membrane(4, 0.05, seed=0)
+        rep = solve_gaussian(gm, None, rows=4, cols=4, strip_width=2, overlap=1)
+        assert rep.strategy == "thin-strips" and rep.converged
 
     def test_at_least_one_sweep(self):
         gm = generate_thin_membrane(4, 0.05, seed=0)

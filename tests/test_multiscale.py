@@ -3,6 +3,7 @@ import pytest
 
 from lagrelax.decomposition import DecompositionConfig
 from lagrelax.gaussian import build_gaussian_relaxation
+from test_gaussian import assert_same_forms, class_by_class_sweep
 from lagrelax.generators import generate_chain_membrane, generate_thin_membrane
 from lagrelax.inference import gaussian_component_mean
 from lagrelax.models import ModelError
@@ -162,3 +163,26 @@ def test_levels_one_matches_single_scale():
     assert np.allclose(r_ms, r_ss, atol=1e-12)
     mean_ms = fine_scale_means(ms)
     assert np.max(np.abs(mean_ms - relax.node_stats().mean)) < 1e-12
+
+
+def test_batched_v_cycles_match_class_by_class_sweeps():
+    # The first V-cycle sweeps coarse components that still hold all-zero
+    # rows, so their batched factors fail and are redone member by member.
+    gm = generate_chain_membrane(32, 0.01, seed=7)
+    batched = build_multiscale(gm, levels=3, block=2)
+    reference = build_multiscale(gm, levels=3, block=2)
+    zero_rows = []
+
+    def reference_sweep(matcher):
+        zero_rows.append(any(not c.J.any(axis=0).all() for c in matcher.components))
+        return class_by_class_sweep(matcher)
+
+    for scale in reference.scales:
+        scale.matcher.sweep = lambda m=scale.matcher: reference_sweep(m)
+    for cycle in range(3):
+        assert v_cycle(batched) == pytest.approx(v_cycle(reference), abs=1e-12)
+        for a, b in zip(batched.scales, reference.scales):
+            assert_same_forms(a.matcher, b.matcher, 1e-12)
+        if cycle == 0:
+            assert any(zero_rows)
+    assert not any(zero_rows[-5:])
