@@ -9,14 +9,13 @@ checked every sweep.
 The components' information forms live in one stack per component size
 (`decomposition.ComponentStack`). A sweep runs the classes by colour:
 greedy first fit in class order, where a colour holds classes of one block
-size whose members share no component. Each colour is one array step: one
-gather and one batched Schur complement per (stack, eliminated size), one
-average per class, one scatter of the deltas. Each sweep then factors
-every stack once: that batched factor checks positive definiteness and
-gives the means, the covariance diagonal and the dual value. A batched
-factor that fails or is not finite is redone one component at a time
-through `gaussian_marginal_info` or `gaussian_component_mean`, which
-retry without inactive variables and raise NotPositiveDefiniteError.
+size whose members share no component. Each colour is one array step
+through a `Gather`: one gather and one batched Schur complement
+(`gaussian_marginal_info`) per (stack, eliminated size), one average per
+class, one scatter of the deltas. Each sweep then factors every stack
+once (`gaussian_component_mean`): that batched factor checks positive
+definiteness and gives the means, the covariance diagonal and the dual
+value. Cross-scale link colours read and write through the same `Gather`.
 
 `GaussianRelaxation` is the one relaxation type: the single-scale solver
 runs one, and the multiscale solver runs one per scale. `build_matcher`
@@ -42,12 +41,7 @@ from .decomposition import (
     first_fit_colours,
     replica_classes,
 )
-from .inference import (
-    batched_cholesky,
-    complement,
-    gaussian_component_mean,
-    gaussian_marginal_info,
-)
+from .inference import complement, gaussian_component_mean, gaussian_marginal_info
 from .models import GaussianInfoModel
 from .report import Report
 
@@ -67,94 +61,90 @@ class GaussClass:
 
 
 class _Read:
-    """Marginals of members that share a stack and an eliminated size, by
-    one batched Schur complement.
+    """Members that share a stack and an eliminated size.
 
     The flat stack indices of each member's (eliminated, kept) block are
-    built once, so a read is one gather, and the kept-block indices take
-    the deltas back.
+    built once, so a read is one gather and one batched Schur complement
+    on slices of it, and the kept-block indices take the deltas back.
     """
 
     def __init__(self, stack, members):
         self.stack = stack
-        self.members = members  # (row, kept, eliminated) local indices
-        self.e = len(members[0][2])
+        self.rows = np.array([row for row, _, _ in members])
+        e = len(members[0][2])
+        self.elim, self.keep = slice(0, e), slice(e, None)
         n = stack.h.shape[1]
-        rows = np.array([row for row, _, _ in members])[:, None]
         order = np.array([np.concatenate([elim, locs]) for _, locs, elim in members], dtype=int)
-        self.h_index = rows * n + order
+        self.h_index = self.rows[:, None] * n + order
         self.J_index = self.h_index[:, :, None] * n + order[:, None, :]
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        e = self.e
         J = self.stack.J.take(self.J_index)
         h = self.stack.h.take(self.h_index)
-        if not e:
-            return J, h
-        L = batched_cholesky(J[:, :e, :e])
-        if L is None:
-            return self._one_by_one()
-        W = np.linalg.solve(L, np.concatenate([J[:, :e, e:], h[:, :e, None]], axis=2))
-        WK = W[:, :, :-1].transpose(0, 2, 1)
-        Jm = J[:, e:, e:] - WK @ W[:, :, :-1]
-        hm = h[:, e:] - (WK @ W[:, :, -1:])[:, :, 0]
-        return 0.5 * (Jm + Jm.transpose(0, 2, 1)), hm
-
-    def _one_by_one(self) -> tuple[np.ndarray, np.ndarray]:
-        """The only per-member path: `gaussian_marginal_info` retries a
-        block without its inactive variables and raises
-        NotPositiveDefiniteError. Nothing is written before it runs."""
-        infos = [
-            gaussian_marginal_info(self.stack.J[row], self.stack.h[row], locs, elim)
-            for row, locs, elim in self.members
-        ]
-        return np.array([J for J, _ in infos]), np.array([h for _, h in infos])
+        return gaussian_marginal_info(J, h, self.keep, self.elim)
 
     def add(self, dJ, dh) -> None:
         """Add the deltas to the members' kept blocks."""
-        e = self.e
-        self.stack.J.reshape(-1)[self.J_index[:, e:, e:]] += dJ
-        self.stack.h.reshape(-1)[self.h_index[:, e:]] += dh
+        keep = self.keep
+        self.stack.J.reshape(-1)[self.J_index[:, keep, keep]] += dJ
+        self.stack.h.reshape(-1)[self.h_index[:, keep]] += dh
 
 
-class _Step:
-    """Member groups averaged in one array step.
+class Gather:
+    """The kept blocks of a list of members, (component index, kept local
+    indices, eliminated local indices), all of one kept size.
 
-    Members that write in one step sit in distinct components, so reading
-    every member first and adding every delta after is the same as
-    updating the groups one at a time. Members are read per (stack,
-    eliminated size) and stacked group by group.
+    Members are read per (stack, eliminated size), one batched Schur
+    complement each, and returned in member order. Members that are
+    written sit in distinct components, so reading every member first and
+    adding every delta after is the same as updating them one at a time.
+    Class steps and cross-scale link colours both read and write through
+    one.
     """
 
-    def __init__(self, where, groups):
-        members = [m for g in groups for m in g]
-        sizes = [len(g) for g in groups]
-        self.starts = np.cumsum([0] + sizes[:-1])
-        self.counts = np.array(sizes, dtype=float)[:, None]
-        self.index = np.repeat(np.arange(len(groups)), sizes)
+    def __init__(self, where, members):
         by_read: dict[tuple[int, int], tuple] = {}
         for pos, (ci, locs, elim) in enumerate(members):
             stack, row = where[ci]
-            _, read_members, where_pos = by_read.setdefault((id(stack), len(elim)), (stack, [], []))
+            _, read_members, read_pos = by_read.setdefault((id(stack), len(elim)), (stack, [], []))
             read_members.append((row, locs, elim))
-            where_pos.append(pos)
+            read_pos.append(pos)
         self.reads = [(_Read(stack, ms), np.array(pos)) for stack, ms, pos in by_read.values()]
         self.shape = (len(members), len(members[0][1]))
 
-    def average(self, write: bool) -> float:
-        """Average each group's marginal information forms, adding the
-        deltas when `write`. Returns the largest pre-update disagreement,
-        NaN when any marginal is NaN."""
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         m, k = self.shape
         J = np.empty((m, k, k))
         h = np.empty((m, k))
         for read, pos in self.reads:
             J[pos], h[pos] = read.marginals()
+        return J, h
+
+    def add(self, dJ, dh) -> None:
+        for read, pos in self.reads:
+            read.add(dJ[pos], dh[pos])
+
+
+class _Step:
+    """Member groups averaged in one array step through one `Gather`,
+    stacked group by group."""
+
+    def __init__(self, where, groups):
+        sizes = [len(g) for g in groups]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.counts = np.array(sizes, dtype=float)[:, None]
+        self.index = np.repeat(np.arange(len(groups)), sizes)
+        self.gather = Gather(where, [m for g in groups for m in g])
+
+    def average(self, write: bool) -> float:
+        """Average each group's marginal information forms, adding the
+        deltas when `write`. Returns the largest pre-update disagreement,
+        NaN when any marginal is NaN."""
+        J, h = self.gather.marginals()
         dh = (np.add.reduceat(h, self.starts) / self.counts)[self.index] - h
         dJ = (np.add.reduceat(J, self.starts) / self.counts[:, :, None])[self.index] - J
         if write:
-            for read, pos in self.reads:
-                read.add(dJ[pos], dh[pos])
+            self.gather.add(dJ, dh)
         return float(np.maximum(np.max(np.abs(dJ)), np.max(np.abs(dh))))
 
 
@@ -172,7 +162,8 @@ class MomentMatcher:
     def __init__(self, components, classes: list[GaussClass], stacks):
         self.components = components
         self.classes = classes
-        where = {int(ci): (stack, row) for stack in stacks for row, ci in enumerate(stack.comps)}
+        # component index -> (stack, row)
+        self.where = {int(ci): (stack, row) for stack in stacks for row, ci in enumerate(stack.comps)}
         colours = first_fit_colours(
             classes,
             lambda c: {ci for ci, _, _ in c.members},
@@ -182,8 +173,8 @@ class MomentMatcher:
         self.colours = [
             Colour(
                 colour,
-                _Step(where, [c.members for c in colour]),
-                [_Step(where, [[colour[0].members[i] for i in g]]) for g in colour[0].groups]
+                _Step(self.where, [c.members for c in colour]),
+                [_Step(self.where, [[colour[0].members[i] for i in g]]) for g in colour[0].groups]
                 if len(colour[0].groups) > 1
                 else [],
             )
@@ -238,20 +229,26 @@ def build_matcher(aug: GaussianAugmented) -> MomentMatcher:
             )
             for oid, rids, groups in replica_classes(rmap)
         ]
-    classes = []
-    for key, reps, groups in specs:
-        members = []
-        for aug_verts in reps:
-            owners = rmap.component_of_vertex[list(aug_verts)]
-            ci = int(owners[0])
-            if np.any(owners != ci):
-                raise DecompositionError(f"agreement block {key} spans several components")
-            comp = components[ci]
-            locs = np.array([comp.local[v] for v in aug_verts])
-            elim = complement(comp.size, locs)
-            members.append((ci, locs, elim))
-        classes.append(GaussClass(key, members, groups))
+    classes = [
+        GaussClass(key, [block_member(aug, aug_verts, key) for aug_verts in reps], groups)
+        for key, reps, groups in specs
+    ]
     return MomentMatcher(components, classes, aug.stacks)
+
+
+def block_member(aug: GaussianAugmented, aug_verts, key):
+    """The member (component index, kept local indices, eliminated local
+    indices) of the block `aug_verts` of `aug`.
+
+    Raises DecompositionError when the block spans several components.
+    """
+    owners = aug.rmap.component_of_vertex[list(aug_verts)]
+    ci = int(owners[0])
+    if np.any(owners != ci):
+        raise DecompositionError(f"agreement block {key} spans several components")
+    comp = aug.components[ci]
+    locs = np.array([comp.local[v] for v in aug_verts])
+    return ci, locs, complement(comp.size, locs)
 
 
 @dataclass
@@ -322,12 +319,12 @@ class GaussianRelaxation:
         and the tighter inverse when replicas are component-disjoint."""
         out = {}
         for cls in self.classes:
-            infos = [self.matcher.marginal(*m) for m in cls.members]
-            Jbar = sum(J for J, _ in infos) / len(infos)
+            J, _ = Gather(self.matcher.where, cls.members).marginals()
+            Jbar = J.mean(axis=0)
             bound = np.linalg.inv(Jbar)
             comp_ids = [ci for ci, _, _ in cls.members]
             tight = (
-                np.linalg.inv(len(infos) * Jbar)
+                np.linalg.inv(len(J) * Jbar)
                 if len(set(comp_ids)) == len(comp_ids)
                 else None
             )

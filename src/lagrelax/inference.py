@@ -14,20 +14,21 @@ the queried one. `messages_computed` counts one per batched reduction of a
 clique table: a message to a neighbouring clique, or the marginal table of
 a replica slot or of a vertex.
 
-Gaussian components are dense: a marginal information form is one Schur
-complement through a Cholesky factor of the eliminated block. A
-component's positive-definiteness check, mean, covariance diagonal and
-value all come from one factor of its active block (`factor_active`); a
-stack of equal-size components is read through one batched factor.
+Gaussian components are dense, and every Gaussian function takes one
+component or a stack of equal-size components (a leading batch axis); one
+component is a stack of one. A marginal information form is one batched
+Schur complement through Cholesky factors of the eliminated blocks
+(`gaussian_marginal_info`). A component's positive-definiteness check,
+mean, covariance diagonal and value all come from one batched factor
+(`factor_active`, `gaussian_component_mean`). An inactive variable, whose
+row of J is zero, is factored as a unit diagonal.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .models import LABELS, NotPositiveDefiniteError
 
@@ -462,108 +463,89 @@ def complement(n: int, idx) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def factor_active(J, h, subset=None):
-    """Cholesky factor of the active block of a component's information form.
-
-    A variable is active when its row of J has a nonzero entry; inactive
-    rows occur on summary scales before their first cross-scale update.
-    Returns the active indices (within `subset` when given) and their
-    lower factor, or None when no index is active. Raises
-    NotPositiveDefiniteError for a potential on an uncoupled variable and
-    for an active block that is not positive definite or not finite.
-    """
-    coupled = J.any(axis=0)
-    if not coupled.all():
-        bad = (h != 0) & ~coupled
-        if bad.any():
+def _cholesky(J, h, elim):
+    """Lower Cholesky factors of the `elim` blocks (a slice) of a stack of
+    forms, and the mask of inactive variables (all False unless the plain
+    factor fails, as it does on a block holding an inactive variable).
+    Raises as `factor_active` does."""
+    block = J[..., elim, elim]
+    inactive = np.zeros(J.shape[:-1], dtype=bool)
+    try:
+        L = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        inactive = ~J.any(axis=-1)
+        if (h[inactive] != 0).any():
             raise NotPositiveDefiniteError(
-                f"improper component: potential on unconstrained variable {np.flatnonzero(bad)[0]}"
-            )
-    if subset is None:
-        idx = np.flatnonzero(coupled)
-    else:
-        idx = np.asarray(subset, dtype=int)
-        idx = idx[coupled[idx]]
-    if not idx.size:
-        return idx, None
-    block = J if subset is None and idx.size == J.shape[0] else J[np.ix_(idx, idx)]
-    L, info = dpotrf(block, lower=1)
-    if info:
-        raise NotPositiveDefiniteError(f"active block not PD: leading minor {info} is not positive")
+                "improper component: potential on an inactive variable"
+            ) from None
+        unit = inactive[..., elim]
+        if not unit.any():
+            raise NotPositiveDefiniteError("block is not positive definite") from None
+        try:
+            L = np.linalg.cholesky(block + unit[..., None] * np.eye(unit.shape[-1]))
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError("active block is not positive definite") from None
     # LAPACK may pass NaN through without failing; it reaches the diagonal.
-    if not math.isfinite(L.trace()):
-        raise NotPositiveDefiniteError("active block is not finite")
-    return idx, L
+    if not np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all():
+        raise NotPositiveDefiniteError("block is not finite")
+    return L, inactive
+
+
+def factor_active(J, h):
+    """Cholesky factors of a stack of information forms (J of shape
+    (..., n, n), h of shape (..., n)), and the mask of their inactive
+    variables: the one positive-definiteness check.
+
+    A variable is inactive when its whole row of J is zero, as on summary
+    scales before their first cross-scale update; it is factored as a unit
+    diagonal. Raises NotPositiveDefiniteError for a potential on an
+    inactive variable and for a form that is not positive definite or not
+    finite.
+    """
+    return _cholesky(np.asarray(J, dtype=float), np.asarray(h, dtype=float), slice(None))
 
 
 def gaussian_marginal_info(J, h, keep, elim=None):
-    """Marginal information form of `keep` after eliminating the rest.
+    """Marginal information forms of `keep` after eliminating `elim`
+    (default every index outside `keep`), one per row of a stack.
 
-    One dense Schur complement: a Cholesky factor of the eliminated block
-    (`elim`, default every index outside `keep`) gives the corrections to
-    J[keep, keep] and h[keep]. A block that fails to factor is retried
-    without its inactive variables.
+    A Cholesky factor of the eliminated block gives the corrections to
+    J[keep, keep] and h[keep]; inactive eliminated variables drop out, and
+    the factor raises as `factor_active` does. `keep` and `elim` are index
+    arrays, or two slices of forms already gathered in (eliminated, kept)
+    order, which are read without another gather.
     """
     J = np.asarray(J, dtype=float)
     h = np.asarray(h, dtype=float)
-    keep = np.asarray(keep, dtype=int)
-    if elim is None:
-        elim = complement(J.shape[0], keep)
-    Jkk = J[keep[:, None], keep]
-    if len(elim) == 0:
-        return Jkk, h[keep]
-    elim = np.asarray(elim, dtype=int)
-    L, info = dpotrf(J[elim[:, None], elim], lower=1)
-    if info:
-        elim, L = factor_active(J, h, elim)
-        if L is None:
-            return Jkk, h[keep]
-    Jce = J[elim[:, None], keep]
-    sol, _ = dpotrs(L, np.column_stack([Jce, h[elim]]), lower=1)
-    Jm = Jkk - Jce.T @ sol[:, :-1]
-    hm = h[keep] - Jce.T @ sol[:, -1]
-    return 0.5 * (Jm + Jm.T), hm
-
-
-def batched_cholesky(blocks):
-    """Lower Cholesky factors of a stack of blocks, or None when one is not
-    positive definite or a factor is not finite (LAPACK may pass NaN
-    through without failing)."""
-    try:
-        L = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        return None
-    return L if np.isfinite(L).all() else None
+    if not isinstance(keep, slice):
+        keep = np.asarray(keep, dtype=int)
+        if elim is None:
+            elim = complement(J.shape[-1], keep)
+        order = np.concatenate([np.asarray(elim, dtype=int), keep])
+        J, h = J[..., order[:, None], order], h[..., order]
+        e = len(order) - len(keep)
+        elim, keep = slice(0, e), slice(e, None)
+    Jek = J[..., elim, keep]
+    if not Jek.shape[-2]:
+        return J[..., keep, keep], h[..., keep]
+    L, _ = _cholesky(J, h, elim)
+    W = np.linalg.solve(L, np.concatenate([Jek, h[..., elim, None]], axis=-1))
+    WK = np.swapaxes(W[..., :-1], -1, -2)
+    Jm = J[..., keep, keep] - WK @ W[..., :-1]
+    hm = h[..., keep] - (WK @ W[..., -1:])[..., 0]
+    return 0.5 * (Jm + np.swapaxes(Jm, -1, -2)), hm
 
 
 # The one component read, and the only name behind the benchmark's
 # `inference.component_solve_s` (perfbench/tracer.py), hence its name.
 def gaussian_component_mean(J, h):
     """Mean, covariance diagonal and value max_x -1/2 x J x + h x = 1/2 h^T mu
-    of one component, or of every row of a stack (J of shape (rows, n, n),
-    h of shape (rows, n)).
-
-    A component is read from one `factor_active` factor of its active
-    block, and raises NotPositiveDefiniteError as `factor_active` does; an
-    inactive variable has mean 0 and infinite variance. A stack is read
-    from one batched Cholesky factor; a stack with an inactive variable,
-    or whose factor fails or is not finite, is read one row at a time.
-    """
-    if J.ndim == 3:
-        L = batched_cholesky(J) if J.any(axis=1).all() else None
-        if L is None:
-            means, variances, values = zip(*map(gaussian_component_mean, J, h))
-            return np.array(means), np.array(variances), np.array(values)
-        Linv = np.linalg.solve(L, np.broadcast_to(np.eye(J.shape[1]), J.shape))
-        mean = np.einsum("bij,bi->bj", Linv, np.einsum("bij,bj->bi", Linv, h))
-        var = np.einsum("bij,bij->bj", Linv, Linv)
-        return mean, var, 0.5 * np.einsum("bi,bi->b", h, mean)
-    idx, L = factor_active(J, h)
-    mean = np.zeros(J.shape[0])
-    var = np.full(J.shape[0], np.inf)
-    if L is not None:
-        mean[idx], _ = dpotrs(L, h[idx], lower=1)
-        # Sigma = L^-T L^-1, so Sigma_vv is the squared norm of column v of L^-1.
-        Linv, _ = dtrtri(L, lower=1)
-        var[idx] = np.einsum("ij,ij->j", Linv, Linv)
-    return mean, var, float(0.5 * h @ mean)
+    of every row of a stack, from one `factor_active` factor; raises as it
+    does. An inactive variable has mean 0 and infinite variance."""
+    L, inactive = factor_active(J, h)
+    Linv = np.linalg.solve(L, np.broadcast_to(np.eye(L.shape[-1]), L.shape))
+    mean = np.einsum("...ij,...i->...j", Linv, np.einsum("...ij,...j->...i", Linv, h))
+    # Sigma = L^-T L^-1, so Sigma_vv is the squared norm of column v of L^-1.
+    var = np.einsum("...ij,...ij->...j", Linv, Linv)
+    var[inactive] = np.inf
+    return mean, var, 0.5 * np.einsum("...i,...i->...", h, mean)

@@ -302,24 +302,16 @@ def split_quadratic_cliques(
             terms.append(CliqueTerm((i, j), block, np.zeros(2)))
             multiplicity[i] += 1
             multiplicity[j] += 1
+    # Past the loop above, a vertex with an edge has ridge > 0, so d > 0
+    # unless the vertex is isolated.
     for i in range(n):
         d = max(residual[i], 0.0) + ridge
-        isolated = multiplicity[i] == 0
-        if d > 0.0:
-            terms.append(CliqueTerm((i,), np.array([[d]]), np.array([h[i]])))
-            multiplicity[i] += 1
-        elif isolated:
+        if d <= 0.0:
             raise NotPairwiseNormalizableError(
                 f"vertex {i} is isolated with zero diagonal"
             )
-        elif h[i] != 0.0:
-            # No singleton clique survives; ride along on an edge clique.
-            for k, t in enumerate(terms):
-                if i in t.vertices:
-                    hv = t.h.copy()
-                    hv[t.vertices.index(i)] += h[i]
-                    terms[k] = CliqueTerm(t.vertices, t.J, hv)
-                    break
+        terms.append(CliqueTerm((i,), np.array([[d]]), np.array([h[i]])))
+        multiplicity[i] += 1
 
     model = GaussianInfoModel.from_cliques(n, terms)
     model.meta["ridge"] = ridge

@@ -9,8 +9,12 @@ constrained multiscale model, sum_s M_s^T (J_s, h_s) M_s with M_s the
 block-average map from the original variables to scale s, stays equal to
 the original chain. In-scale replica matching is the single-scale sweep,
 which runs each scale's classes colour by colour on its component stacks.
-Cross-scale updates run one link at a time in V-cycle order; each link
-carries its index plans, built with it in `build_multiscale`.
+Cross-scale links run the same way: `build_multiscale` colours each scale
+pair's links by greedy first fit, so a colour holds links that share no
+fine and no coarse component, and one `cross_scale_update` moves a whole
+colour with one batched read of each side, one batched multiplier solve,
+one scatter and one batched positive-definiteness check per side. Scales
+and colours run in V-cycle order.
 
 2D lattices would use the same types with block summaries per axis; only
 the 1D construction is wired up and tested here.
@@ -24,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import DecompositionConfig, build_augmented
-from .gaussian import GaussianRelaxation
-from .inference import complement, factor_active, gaussian_marginal_info
+from .decomposition import DecompositionConfig, build_augmented, first_fit_colours
+from .gaussian import Gather, GaussianRelaxation, block_member
+from .inference import factor_active
 from .models import GaussianInfoModel, Hypergraph, ModelError, NotPositiveDefiniteError
 from .report import Report
 
@@ -38,8 +42,7 @@ class CrossLink:
     Links are built per coarse-scale clique (adjacent summary pairs), so
     the update also populates coarse interaction potentials; its pullback
     lands on the extra block-pair interactions inside a fine component.
-    Each block carries its kept and eliminated local indices, and its
-    index plan is built with the link.
+    Each block carries its kept and eliminated local indices.
     """
 
     fine_scale: int
@@ -52,9 +55,16 @@ class CrossLink:
     coarse_elim: np.ndarray
     A: np.ndarray  # len(coarse_vars) x len(fine_locs) averaging map
 
-    def __post_init__(self):
-        self.fine_block = (self.fine_locs[:, None], self.fine_locs)
-        self.coarse_block = (self.coarse_locs[:, None], self.coarse_locs)
+
+@dataclass
+class LinkColour:
+    """Links of one scale pair that share no fine and no coarse component,
+    updated in one array step: `fine` and `coarse` gather their blocks."""
+
+    links: list[CrossLink]
+    fine: Gather
+    coarse: Gather
+    A: np.ndarray  # the averaging map every link of the colour shares
 
 
 @dataclass
@@ -62,7 +72,7 @@ class MultiscaleModel:
     base: GaussianInfoModel
     block: int
     scales: list[GaussianRelaxation]
-    links: list[list[CrossLink]]  # per adjacent scale pair
+    links: list[list[LinkColour]]  # per adjacent scale pair
 
     @property
     def levels(self) -> int:
@@ -115,7 +125,7 @@ def build_multiscale(
         _scale_relaxation(_summary_chain(model.n // block**s), block) for s in range(1, levels)
     ]
 
-    links: list[list[CrossLink]] = []
+    links: list[list[LinkColour]] = []
     for s in range(levels - 1):
         fine, coarse = scales[s], scales[s + 1]
         nb = coarse.rmap.n_orig
@@ -138,13 +148,35 @@ def build_multiscale(
                     A=_block_average(len(cvars), block),
                 )
             )
-        links.append(pair_links)
+        colours = first_fit_colours(
+            pair_links,
+            lambda link: {("fine", link.fine_comp), ("coarse", link.coarse_comp)},
+            lambda link: len(link.coarse_vars),
+            lambda link: False,
+        )
+        links.append(
+            [
+                LinkColour(
+                    colour,
+                    Gather(
+                        fine.matcher.where,
+                        [(lk.fine_comp, lk.fine_locs, lk.fine_elim) for lk in colour],
+                    ),
+                    Gather(
+                        coarse.matcher.where,
+                        [(lk.coarse_comp, lk.coarse_locs, lk.coarse_elim) for lk in colour],
+                    ),
+                    colour[0].A,
+                )
+                for colour in colours
+            ]
+        )
     return MultiscaleModel(base=model, block=block, scales=scales, links=links)
 
 
 def _canonical_block(scale: GaussianRelaxation, block_vars):
-    """First component holding a full copy of the block, with the block's
-    local indices and the rest of the component's."""
+    """The member (component index, kept and eliminated local indices) of
+    the block in the first component holding a full copy of it."""
     rmap = scale.rmap
     # per block variable: owning component -> its replica there (each strip
     # holds one copy of a variable)
@@ -155,13 +187,12 @@ def _canonical_block(scale: GaussianRelaxation, block_vars):
     if not shared:
         raise ModelError(f"no component contains block {block_vars}")
     ci = min(shared)
-    comp = scale.aug.components[ci]
-    locs = np.array([comp.local[own[ci]] for own in owners])
-    return ci, locs, complement(comp.size, locs)
+    return block_member(scale.aug, [own[ci] for own in owners], tuple(block_vars))
 
 
 def summary_multipliers(A, J1, h1, J2, h2):
-    """Multiplier pair that equalizes summary moments across a scale pair.
+    """Multiplier pair that equalizes summary moments across a scale pair,
+    for one link or for every row of a stack of links that share A.
 
     Given marginal information forms (J1, h1) of the fine block and
     (J2, h2) of its summary variables under the map x2 = A x1, returns
@@ -171,54 +202,49 @@ def summary_multipliers(A, J1, h1, J2, h2):
     block is solved once, for [A^T | h1].
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    J1 = np.atleast_2d(np.asarray(J1, dtype=float))
-    J2 = np.atleast_2d(np.asarray(J2, dtype=float))
-    h1 = np.atleast_1d(np.asarray(h1, dtype=float))
-    h2 = np.atleast_1d(np.asarray(h2, dtype=float))
-    S = A @ np.linalg.solve(J1, np.column_stack([A.T, h1]))
-    Minv = np.linalg.inv(S[:, :-1])
+    J1 = np.asarray(J1, dtype=float)
+    h1 = np.asarray(h1, dtype=float)
+    rhs = np.concatenate([np.broadcast_to(A.T, J1.shape[:-2] + A.T.shape), h1[..., None]], axis=-1)
+    S = A @ np.linalg.solve(J1, rhs)
+    Minv = np.linalg.inv(S[..., :-1])
     Lam = 0.5 * (Minv - J2)
-    lam = 0.5 * (Minv @ S[:, -1] - h2)
+    lam = 0.5 * ((Minv @ S[..., -1:])[..., 0] - h2)
     return Lam, lam
 
 
-def cross_scale_update(ms: MultiscaleModel, link: CrossLink) -> float:
-    """Match the coarse variables' moments to their fine block summaries.
+def cross_scale_update(ms: MultiscaleModel, colour: LinkColour) -> float:
+    """Match the coarse variables' moments to their fine block summaries,
+    for every link of a colour at once.
 
-    Adds the multiplier pair to the coarse potentials and subtracts its
-    pullback from the fine block. A failing factorization triggers one
-    damped (halved) retry before raising.
+    Gathers both sides, computes every link's multiplier pair, adds it to
+    the coarse potentials and subtracts its pullback from the fine block,
+    then checks the touched components with one batched factor per read.
+    A failing check restores them and retries the colour once at half
+    size before raising. Returns the largest multiplier entry.
     """
-    fcomp = ms.scales[link.fine_scale].aug.components[link.fine_comp]
-    ccomp = ms.scales[link.fine_scale + 1].aug.components[link.coarse_comp]
-    J1, h1 = gaussian_marginal_info(fcomp.J, fcomp.h, link.fine_locs, link.fine_elim)
-    J2, h2 = gaussian_marginal_info(ccomp.J, ccomp.h, link.coarse_locs, link.coarse_elim)
-    A = link.A
+    J1, h1 = colour.fine.marginals()
+    J2, h2 = colour.coarse.marginals()
+    A = colour.A
     Lam, lam = summary_multipliers(A, J1, h1, J2, h2)
     resid = float(np.maximum(np.max(np.abs(Lam)), np.max(np.abs(lam))))
-
-    fine, coarse = link.fine_block, link.coarse_block
-    locs, clocs = link.fine_locs, link.coarse_locs
+    dJf, dhf = A.T @ Lam @ A, lam @ A
+    touched = [(read.stack, read.rows) for side in (colour.fine, colour.coarse) for read, _ in side.reads]
+    saved = [(stack.J[rows], stack.h[rows]) for stack, rows in touched]
     for scale in (1.0, 0.5):
-        dJc, dhc = scale * Lam, scale * lam
-        dJf, dhf = A.T @ dJc @ A, A.T @ dhc
-        ccomp.J[coarse] += dJc
-        ccomp.h[clocs] += dhc
-        fcomp.J[fine] -= dJf
-        fcomp.h[locs] -= dhf
+        colour.coarse.add(scale * Lam, scale * lam)
+        colour.fine.add(-scale * dJf, -scale * dhf)
         try:
-            factor_active(fcomp.J, fcomp.h)
-            factor_active(ccomp.J, ccomp.h)
+            for stack, rows in touched:
+                factor_active(stack.J[rows], stack.h[rows])
         except NotPositiveDefiniteError:
-            ccomp.J[coarse] -= dJc
-            ccomp.h[clocs] -= dhc
-            fcomp.J[fine] += dJf
-            fcomp.h[locs] += dhf
+            for (stack, rows), (J, h) in zip(touched, saved):
+                stack.J[rows], stack.h[rows] = J, h
             continue
         return resid
     raise NotPositiveDefiniteError(
-        f"cross-scale update at scale {link.fine_scale}, variables "
-        f"{link.coarse_vars} lost positive definiteness even after damping"
+        f"cross-scale update at scale {colour.links[0].fine_scale}, variables "
+        f"{[link.coarse_vars for link in colour.links]} lost positive definiteness "
+        "even after damping"
     )
 
 
@@ -263,10 +289,10 @@ def v_cycle(ms: MultiscaleModel) -> float:
     resids = []
     for s in range(ms.levels - 1):
         resids.append(ms.scales[s].matcher.sweep())
-        resids += [cross_scale_update(ms, link) for link in ms.links[s]]
+        resids += [cross_scale_update(ms, colour) for colour in ms.links[s]]
     resids.append(ms.scales[-1].matcher.sweep())
     for s in reversed(range(ms.levels - 1)):
-        resids += [cross_scale_update(ms, link) for link in ms.links[s]]
+        resids += [cross_scale_update(ms, colour) for colour in ms.links[s]]
         resids.append(ms.scales[s].matcher.sweep())
     return float(np.max(resids))
 

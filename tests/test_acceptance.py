@@ -300,8 +300,9 @@ def test_criterion_11_thin_plate_lbp_divergence():
 def test_criterion_12_cross_scale_update_correctness():
     model = generate_chain_membrane(4, 0.1, seed=1)
     ms = build_multiscale(model, levels=2, block=2)
-    link = ms.links[0][0]
-    cross_scale_update(ms, link)
+    colour = ms.links[0][0]
+    link = colour.links[0]
+    cross_scale_update(ms, colour)
     # dense, solver-free moment computation per component
     fcomp = ms.scales[0].matcher.components[link.fine_comp]
     ccomp = ms.scales[1].matcher.components[link.coarse_comp]

@@ -242,8 +242,8 @@ def test_gaussian_split_pd_and_consistent():
     dJ, dh = aug.consistency_residual()
     assert dJ < 1e-12 and dh < 1e-12
     for comp in aug.components:
-        active, _ = factor_active(comp.J, comp.h)  # raises unless PD
-        assert active.size == comp.size
+        _, inactive = factor_active(comp.J, comp.h)  # raises unless PD
+        assert not inactive.any()
 
 
 def test_identity_map_lift_is_identity():

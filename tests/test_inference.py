@@ -15,6 +15,7 @@ from lagrelax.generators import generate_ising_grid
 from lagrelax.inference import (
     SubgraphEngine,
     build_engines,
+    factor_active,
     gaussian_component_mean,
     gaussian_marginal_info,
     min_fill_order,
@@ -396,3 +397,75 @@ class TestGaussianMarginalInfo:
         np.testing.assert_allclose(var[active], np.diag(cov), rtol=1e-12)
         assert mean[3] == 0.0 and var[3] == np.inf
         assert value == pytest.approx(0.5 * h[active] @ cov @ h[active], rel=1e-12)
+
+
+def spd(rng, n):
+    a = rng.normal(size=(n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+class TestInactiveVariables:
+    """An inactive variable is one whose whole row of J is zero."""
+
+    @staticmethod
+    def zero_diagonal_coupled():
+        # Variable 1 has a zero diagonal but couples to variable 0, so it is
+        # active and its eliminated block {1, 2} is not positive definite;
+        # read from that block alone, row 1 would look inactive.
+        return np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]), np.zeros(3)
+
+    def test_coupled_zero_diagonal_is_not_inactive(self):
+        J, h = self.zero_diagonal_coupled()
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian_marginal_info(J, h, [0])
+        with pytest.raises(NotPositiveDefiniteError):
+            factor_active(J, h)
+
+    def test_coupled_zero_diagonal_in_a_stack_raises(self):
+        J, h = self.zero_diagonal_coupled()
+        good = spd(np.random.default_rng(1), 3)
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian_marginal_info(np.stack([good, J]), np.stack([h, h]), [0])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_potential_on_inactive_variable_raises(self, stacked):
+        J = np.diag([2.0, 0.0, 3.0])
+        h = np.array([1.0, 0.5, 0.0])
+        if stacked:
+            J = np.stack([np.diag([2.0, 1.0, 3.0]), J])
+            h = np.stack([h, h])
+        with pytest.raises(NotPositiveDefiniteError):
+            factor_active(J, h)
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian_component_mean(J, h)
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian_marginal_info(J, h, [0])
+
+    def test_stack_row_with_inactive_variable(self):
+        rng = np.random.default_rng(0)
+        active = [0, 1, 2, 4, 5, 6]
+        J = np.zeros((3, 7, 7))
+        J[0] = spd(rng, 7)
+        J[1][np.ix_(active, active)] = spd(rng, 6)
+        J[2] = spd(rng, 7)
+        h = rng.normal(size=(3, 7))
+        h[1, 3] = 0.0
+        _, inactive = factor_active(J, h)
+        assert np.array_equal(np.flatnonzero(inactive), [7 + 3])
+        mean, var, value = gaussian_component_mean(J, h)
+        assert mean[1, 3] == 0.0 and var[1, 3] == np.inf
+        for row in range(3):
+            idx = active if row == 1 else list(range(7))
+            cov = np.linalg.inv(J[row][np.ix_(idx, idx)])
+            np.testing.assert_allclose(mean[row, idx], cov @ h[row, idx], rtol=1e-10)
+            np.testing.assert_allclose(var[row, idx], np.diag(cov), rtol=1e-10)
+            assert value[row] == pytest.approx(0.5 * h[row, idx] @ cov @ h[row, idx], rel=1e-10)
+        # the inactive variable drops out of a Schur complement
+        keep = [0, 1]
+        Jm, hm = gaussian_marginal_info(J, h, keep)
+        for row in range(3):
+            idx = active if row == 1 else list(range(7))
+            cov = np.linalg.inv(J[row][np.ix_(idx, idx)])
+            J_ref = np.linalg.inv(cov[:2, :2])
+            np.testing.assert_allclose(Jm[row], J_ref, rtol=1e-10)
+            np.testing.assert_allclose(hm[row], J_ref @ (cov @ h[row, idx])[:2], rtol=1e-10)

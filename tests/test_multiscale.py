@@ -5,8 +5,8 @@ from lagrelax.decomposition import DecompositionConfig
 from lagrelax.gaussian import build_gaussian_relaxation
 from test_gaussian import assert_same_forms, class_by_class_sweep
 from lagrelax.generators import generate_chain_membrane, generate_thin_membrane
-from lagrelax.inference import gaussian_component_mean
-from lagrelax.models import ModelError
+from lagrelax.inference import gaussian_component_mean, gaussian_marginal_info
+from lagrelax.models import ModelError, NotPositiveDefiniteError
 from lagrelax.multiscale import (
     build_multiscale,
     cross_scale_update,
@@ -86,8 +86,9 @@ def test_matched_moments_are_a_fixed_point():
 def test_cross_update_enforces_moment_conditions():
     gm = generate_chain_membrane(4, 0.1, seed=2)
     ms = build_multiscale(gm, levels=2, block=2)
-    link = ms.links[0][0]
-    cross_scale_update(ms, link)
+    colour = ms.links[0][0]
+    link = colour.links[0]
+    cross_scale_update(ms, colour)
     fine, coarse = ms.scales[0].matcher, ms.scales[1].matcher
     J1, h1 = fine.marginal(link.fine_comp, link.fine_locs)
     J2, h2 = coarse.marginal(link.coarse_comp, link.coarse_locs)
@@ -101,11 +102,12 @@ def test_cross_update_enforces_moment_conditions():
 def test_cross_update_idempotent_at_fixed_point():
     gm = generate_chain_membrane(4, 0.1, seed=3)
     ms = build_multiscale(gm, levels=2, block=2)
-    link = ms.links[0][0]
-    cross_scale_update(ms, link)
+    colour = ms.links[0][0]
+    link = colour.links[0]
+    cross_scale_update(ms, colour)
     Jf = ms.scales[0].matcher.components[link.fine_comp].J.copy()
     Jc = ms.scales[1].matcher.components[link.coarse_comp].J.copy()
-    resid = cross_scale_update(ms, link)
+    resid = cross_scale_update(ms, colour)
     assert resid < 1e-12
     assert np.max(np.abs(ms.scales[0].matcher.components[link.fine_comp].J - Jf)) < 1e-12
     assert np.max(np.abs(ms.scales[1].matcher.components[link.coarse_comp].J - Jc)) < 1e-12
@@ -167,7 +169,8 @@ def test_levels_one_matches_single_scale():
 
 def test_batched_v_cycles_match_class_by_class_sweeps():
     # The first V-cycle sweeps coarse components that still hold all-zero
-    # rows, so their batched factors fail and are redone member by member.
+    # rows, so their batched factors fail and are redone with unit
+    # diagonals on the inactive variables.
     gm = generate_chain_membrane(32, 0.01, seed=7)
     batched = build_multiscale(gm, levels=3, block=2)
     reference = build_multiscale(gm, levels=3, block=2)
@@ -186,3 +189,59 @@ def test_batched_v_cycles_match_class_by_class_sweeps():
         if cycle == 0:
             assert any(zero_rows)
     assert not any(zero_rows[-5:])
+
+
+def apply_link(ms, link):
+    """One link's update on its own: both Schur complements, the
+    multipliers and in-place writes."""
+    fcomp = ms.scales[link.fine_scale].aug.components[link.fine_comp]
+    ccomp = ms.scales[link.fine_scale + 1].aug.components[link.coarse_comp]
+    J1, h1 = gaussian_marginal_info(fcomp.J, fcomp.h, link.fine_locs)
+    J2, h2 = gaussian_marginal_info(ccomp.J, ccomp.h, link.coarse_locs)
+    Lam, lam = summary_multipliers(link.A, J1, h1, J2, h2)
+    ccomp.J[np.ix_(link.coarse_locs, link.coarse_locs)] += Lam
+    ccomp.h[link.coarse_locs] += lam
+    fcomp.J[np.ix_(link.fine_locs, link.fine_locs)] -= link.A.T @ Lam @ link.A
+    fcomp.h[link.fine_locs] -= link.A.T @ lam
+    return max(np.max(np.abs(Lam)), np.max(np.abs(lam)))
+
+
+def test_link_colour_matches_links_one_at_a_time():
+    gm = generate_chain_membrane(32, 0.01, seed=8)
+    batched = build_multiscale(gm, levels=3, block=2)
+    reference = build_multiscale(gm, levels=3, block=2)
+    for colours in batched.links:
+        assert max(len(colour.links) for colour in colours) > 1
+        for colour in colours:
+            for side in ("fine_comp", "coarse_comp"):
+                comps = [getattr(link, side) for link in colour.links]
+                assert len(comps) == len(set(comps))
+    # Downstrokes in V-cycle order; the first meets coarse components with
+    # all-zero rows.
+    for _ in range(3):
+        for s in range(batched.levels - 1):
+            batched.scales[s].matcher.sweep()
+            reference.scales[s].matcher.sweep()
+            for colour, ref_colour in zip(batched.links[s], reference.links[s]):
+                got = cross_scale_update(batched, colour)
+                want = max(apply_link(reference, link) for link in ref_colour.links)
+                assert got == pytest.approx(want, abs=1e-12)
+                for a, b in zip(batched.scales, reference.scales):
+                    assert_same_forms(a.matcher, b.matcher, 1e-12)
+
+
+def test_failed_colour_leaves_every_stack_unchanged():
+    gm = generate_chain_membrane(16, 0.01, seed=9)
+    ms = build_multiscale(gm, levels=3, block=2)
+    v_cycle(ms)
+    colour = ms.links[0][0]
+    link = colour.links[0]
+    ccomp = ms.scales[1].aug.components[link.coarse_comp]
+    v = link.coarse_locs[0]
+    ccomp.J[v, v] = -ccomp.J[v, v]
+    before = [(st.J.copy(), st.h.copy()) for scale in ms.scales for st in scale.aug.stacks]
+    with pytest.raises(NotPositiveDefiniteError):
+        cross_scale_update(ms, colour)
+    after = [(st.J, st.h) for scale in ms.scales for st in scale.aug.stacks]
+    for (J0, h0), (J1, h1) in zip(before, after):
+        assert np.array_equal(J0, J1) and np.array_equal(h0, h1)
