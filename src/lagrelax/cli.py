@@ -29,6 +29,19 @@ def _add_decomposition_args(p: argparse.ArgumentParser, default_strategy: str):
     p.add_argument("--cols", type=int, default=None)
 
 
+def _add_output_args(p: argparse.ArgumentParser):
+    p.add_argument("--out", default=None)
+    p.add_argument("--trace", default=None)
+
+
+def _write_outputs(report, args) -> int:
+    if args.out:
+        report.write_json(args.out)
+    if args.trace:
+        report.write_trace_csv(args.trace)
+    return 0
+
+
 def _decomposition_config(args) -> DecompositionConfig:
     return DecompositionConfig(
         strategy=args.strategy,
@@ -61,11 +74,7 @@ def _cmd_solve(args) -> int:
         f"gap_flag = {report.gap_flag}  ties = {len(report.tie_nodes)}  "
         f"stop = {report.stop_reason}"
     )
-    if args.out:
-        report.write_json(args.out)
-    if args.trace:
-        report.write_trace_csv(args.trace)
-    return 0
+    return _write_outputs(report, args)
 
 
 def _dump_junction_trees(model, config):
@@ -90,11 +99,7 @@ def _cmd_gsolve(args) -> int:
         f"dual = {report.dual:.10g}  converged = {report.converged} "
         f"in {report.iterations} sweeps  stop = {report.stop_reason}"
     )
-    if args.out:
-        report.write_json(args.out)
-    if args.trace:
-        report.write_trace_csv(args.trace)
-    return 0
+    return _write_outputs(report, args)
 
 
 def _cmd_mssolve(args) -> int:
@@ -109,11 +114,7 @@ def _cmd_mssolve(args) -> int:
         f"converged = {report.converged} in {report.iterations} outer iterations "
         f"({report.levels} levels)  stop = {report.stop_reason}"
     )
-    if args.out:
-        report.write_json(args.out)
-    if args.trace:
-        report.write_trace_csv(args.trace)
-    return 0
+    return _write_outputs(report, args)
 
 
 def _cmd_oracle(args) -> int:
@@ -156,8 +157,7 @@ def main(argv=None) -> int:
     p.add_argument("--decay", type=float, default=0.5)
     p.add_argument("--tau-min", dest="tau_min", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out", default=None)
-    p.add_argument("--trace", default=None)
+    _add_output_args(p)
     p.add_argument("--dump-jt", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
@@ -166,8 +166,7 @@ def main(argv=None) -> int:
     _add_decomposition_args(p, "thin-strips")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=500)
-    p.add_argument("--out", default=None)
-    p.add_argument("--trace", default=None)
+    _add_output_args(p)
     p.set_defaults(func=_cmd_gsolve)
 
     p = sub.add_parser("mssolve", help="multiscale gaussian solver (1D chains)")
@@ -176,8 +175,7 @@ def main(argv=None) -> int:
     p.add_argument("--block", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=500)
-    p.add_argument("--out", default=None)
-    p.add_argument("--trace", default=None)
+    _add_output_args(p)
     p.set_defaults(func=_cmd_mssolve)
 
     p = sub.add_parser("oracle", help="exact reference values for a model file")

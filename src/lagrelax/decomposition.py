@@ -12,7 +12,8 @@ implicitly by mutating the split potentials inside the consistency subspace
 (sum over replicas == original potential). Only discrete relaxations bound
 component width, on their engines' junction trees (`build_relaxation`).
 Gaussian components are stored in one stack per component size, and both
-solvers colour their classes with one first-fit helper.
+solvers colour their classes with one first-fit helper and sweep them with
+one colour loop (`sweep_colours`).
 """
 
 from __future__ import annotations
@@ -596,6 +597,18 @@ class Colour:
     classes: list
     step: object
     hub_groups: list
+
+
+def sweep_colours(colours: list[Colour], *args) -> float:
+    """One pass over `colours`, in order, passing `args` to every step's
+    `average`. Returns the largest pre-update disagreement, NaN when any
+    is NaN."""
+    resids = []
+    for colour in colours:
+        resids.append(colour.step.average(*args, write=not colour.hub_groups))
+        for group in colour.hub_groups:
+            group.average(*args, write=True)
+    return float(np.max(resids, initial=0.0))
 
 
 def first_fit_colours(classes, components_of, kind_of, alone) -> list[list]:

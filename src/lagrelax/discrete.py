@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,10 +35,11 @@ from .decomposition import (
     first_fit_colours,
     project_assignment,
     replica_classes,
+    sweep_colours,
 )
 from .inference import TIE_TOL, SubgraphEngine, build_engines
 from .models import LABELS, DiscreteFactorModel, monomial_table, evaluate_objective
-from .report import Report, json_safe
+from .report import Report, json_safe, run_sweeps
 
 # The solve stops once the dual g is within GAP_TOL * (1 + |g|) of the best
 # decoded objective.
@@ -82,13 +84,13 @@ class TemperatureSchedule:
 
 @dataclass
 class TraceEntry:
-    sweep: int
+    sweep: int = field(default=0, kw_only=True)  # stamped by `run_sweeps`
     tau: float
     g_smooth: float
     g: float
     best_primal: float
     max_residual: float
-    wall_ms: float
+    wall_ms: float = field(default=0.0, kw_only=True)  # stamped by `run_sweeps`
 
 
 @dataclass
@@ -106,6 +108,7 @@ class SolveReport(Report):
     final_dual: float
     best_primal: float
     gap_flag: bool
+    converged: bool
     estimate: np.ndarray
     tie_nodes: list[int]
     node_tables: np.ndarray
@@ -113,7 +116,6 @@ class SolveReport(Report):
     stop_reason: str
     notes: list[str] = field(default_factory=list)
     wall_ms: float = 0.0
-    converged: bool = True
 
     ENTRY = TraceEntry
 
@@ -231,25 +233,17 @@ class DiscreteRelaxation:
 
     # -- sweeps ---------------------------------------------------------------
 
-    def _sweep(self, tau: float | None) -> float:
-        resids = []
-        for colour in self.colours:
-            resids.append(colour.step.average(tau, write=not colour.hub_groups))
-            for group in colour.hub_groups:
-                group.average(tau, write=True)
-        return float(np.max(resids, initial=0.0))
-
     def sweep_log_marginal_averaging(self, tau: float) -> float:
         """One colour-ordered pass of tempered marginal matching.
 
         Returns the largest pre-update disagreement max|f_hat - f_bar|,
         NaN when any table is NaN.
         """
-        return self._sweep(tau)
+        return sweep_colours(self.colours, tau)
 
     def sweep_max_marginal_averaging(self) -> float:
         """Zero-temperature variant on max-normalized max-marginal tables."""
-        return self._sweep(None)
+        return sweep_colours(self.colours, None)
 
     # -- gradient --------------------------------------------------------------
 
@@ -358,54 +352,47 @@ def solve_discrete(
     config = as_config(strategy, "spanning-trees", **kwargs)
     relax = build_relaxation(model, config)
 
-    def stop_after(resid: float, g: float, primal: float, tol: float) -> str | None:
-        if not (math.isfinite(resid) and math.isfinite(g)):
+    def sweep(tau: float) -> TraceEntry:
+        nonlocal best, est
+        if tau > 0:
+            resid = relax.sweep_log_marginal_averaging(tau)
+        else:
+            resid = relax.sweep_max_marginal_averaging()
+        est = relax.extract_estimate()
+        if best is None or est.best_primal > best.best_primal:
+            best = est
+        g = relax.dual_value()
+        return TraceEntry(
+            tau=tau,
+            g_smooth=relax.smooth_dual_value(tau) if tau > 0 else g,
+            g=g,
+            best_primal=best.best_primal,
+            max_residual=resid,
+        )
+
+    def certify(entry: TraceEntry) -> str | None:
+        if not math.isfinite(entry.g):
             return "non_finite"
         # Written so that a NaN primal counts as a gap.
-        if g - primal <= GAP_TOL * (1 + abs(g)):
+        if entry.g - entry.best_primal <= GAP_TOL * (1 + abs(entry.g)):
             return "certified"
-        return "residual" if resid < tol else None
 
     t0 = time.perf_counter()
     trace: list[TraceEntry] = []
-    best = None  # the decode with the highest objective so far
+    best = est = None  # the decode with the highest objective so far, the last decode
     steps = [(tau, schedule.tol_at(tau)) for tau in schedule.ladder()]
     steps.append((0.0, schedule.inner_tol))
-    capped = False
+    reasons = []
     for tau, tol in steps:
-        for _ in range(schedule.max_sweeps_per_tau):
-            if tau > 0:
-                resid = relax.sweep_log_marginal_averaging(tau)
-            else:
-                resid = relax.sweep_max_marginal_averaging()
-            est = relax.extract_estimate()
-            if best is None or est.best_primal > best.best_primal:
-                best = est
-            g = relax.dual_value()
-            trace.append(
-                TraceEntry(
-                    sweep=len(trace) + 1,
-                    tau=tau,
-                    g_smooth=relax.smooth_dual_value(tau) if tau > 0 else g,
-                    g=g,
-                    best_primal=best.best_primal,
-                    max_residual=resid,
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                )
-            )
-            stop_reason = stop_after(resid, g, best.best_primal, tol)
-            if stop_reason:
-                break
-        else:
-            stop_reason = "sweep_cap"
-            capped = True
-        if stop_reason in ("certified", "non_finite"):
+        reasons.append(run_sweeps(partial(sweep, tau), trace, schedule.max_sweeps_per_tau, tol, t0, certify))
+        if reasons[-1] in ("certified", "non_finite"):
             break
+    stop_reason = reasons[-1]
 
     # The certificate is tested after every sweep, so a solve that did not
     # stop on it ends with a gap.
     gap_flag = stop_reason != "certified"
-    converged = stop_reason == "certified" or (stop_reason == "residual" and not capped)
+    converged = stop_reason == "certified" or (stop_reason == "residual" and "sweep_cap" not in reasons)
     messages = sum(eng.messages_computed for eng in relax.engines)
     notes = list(relax.rmap.notes) + [f"messages computed: {messages}"]
     return SolveReport(
@@ -413,6 +400,7 @@ def solve_discrete(
         final_dual=trace[-1].g,
         best_primal=best.best_primal,
         gap_flag=gap_flag,
+        converged=converged,
         estimate=best.estimate,
         tie_nodes=sorted(est.tie_nodes),
         node_tables=est.node_tables,
@@ -420,5 +408,4 @@ def solve_discrete(
         stop_reason=stop_reason,
         notes=notes,
         wall_ms=(time.perf_counter() - t0) * 1e3,
-        converged=converged,
     )

@@ -25,7 +25,6 @@ from the replicated hyperedges.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -40,10 +39,11 @@ from .decomposition import (
     build_augmented,
     first_fit_colours,
     replica_classes,
+    sweep_colours,
 )
 from .inference import complement, gaussian_component_mean, gaussian_marginal_info
 from .models import GaussianInfoModel
-from .report import Report
+from .report import Report, run_sweeps
 
 
 @dataclass
@@ -188,12 +188,7 @@ class MomentMatcher:
     def sweep(self) -> float:
         """One pass over all colours; returns the peak pre-update
         disagreement (NaN when any marginal is NaN)."""
-        resids = []
-        for colour in self.colours:
-            resids.append(colour.step.average(write=not colour.hub_groups))
-            for group in colour.hub_groups:
-                group.average(write=True)
-        return float(np.max(resids, initial=0.0))
+        return sweep_colours(self.colours)
 
 
 def replica_average(rmap, per_aug):
@@ -334,12 +329,12 @@ class GaussianRelaxation:
 
 @dataclass
 class GaussianTraceEntry:
-    sweep: int
+    sweep: int = field(default=0, kw_only=True)  # stamped by `run_sweeps`
     dual: float
     mean_err_proxy: float
     var_residual: float
     max_residual: float
-    wall_ms: float
+    wall_ms: float = field(default=0.0, kw_only=True)  # stamped by `run_sweeps`
 
 
 @dataclass
@@ -390,43 +385,33 @@ def solve_gaussian(
     component once, and the report's means, dual and variance bounds come
     from the last sweep's read.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     config = as_config(strategy, "thin-strips", **kwargs)
     relax = build_gaussian_relaxation(model, config)
-    t0 = time.perf_counter()
-    trace: list[GaussianTraceEntry] = []
     consistency_max = 0.0
-    stop_reason = "sweep_cap"
-    iterations = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
+    stats = None  # the last sweep's read
+
+    def sweep() -> GaussianTraceEntry:
+        nonlocal consistency_max, stats
         resid = relax.matcher.sweep()
         dJ, dh = relax.aug.consistency_residual()
         consistency_max = float(np.maximum(consistency_max, dJ + dh))
         stats = relax.node_stats()
-        trace.append(
-            GaussianTraceEntry(
-                sweep=it,
-                dual=stats.dual,
-                mean_err_proxy=stats.mean_spread,
-                var_residual=stats.var_spread,
-                max_residual=resid,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
+        return GaussianTraceEntry(
+            dual=stats.dual,
+            mean_err_proxy=stats.mean_spread,
+            var_residual=stats.var_spread,
+            max_residual=resid,
         )
-        if not math.isfinite(resid):
-            stop_reason = "non_finite"
-            break
-        if resid < tol:
-            stop_reason = "residual"
-            break
+
+    t0 = time.perf_counter()
+    trace: list[GaussianTraceEntry] = []
+    stop_reason = run_sweeps(sweep, trace, max_iters, tol, t0)
     loose, tight = relax.node_variance_bounds(stats)
     return GaussianSolveReport(
         means=stats.mean,
         dual=stats.dual,
         converged=stop_reason == "residual",
-        iterations=iterations,
+        iterations=len(trace),
         dual_trace=trace,
         variance_bound=loose,
         variance_bound_tight=tight,

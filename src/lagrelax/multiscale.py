@@ -22,7 +22,6 @@ the 1D construction is wired up and tested here.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,7 +31,7 @@ from .decomposition import DecompositionConfig, build_augmented, first_fit_colou
 from .gaussian import Gather, GaussianRelaxation, block_member
 from .inference import factor_active
 from .models import GaussianInfoModel, Hypergraph, ModelError, NotPositiveDefiniteError
-from .report import Report
+from .report import Report, run_sweeps
 
 
 @dataclass
@@ -250,10 +249,10 @@ def cross_scale_update(ms: MultiscaleModel, colour: LinkColour) -> float:
 
 @dataclass
 class MultiscaleTraceEntry:
-    sweep: int
+    sweep: int = field(default=0, kw_only=True)  # stamped by `run_sweeps`
     max_residual: float
     mean_err: float
-    wall_ms: float
+    wall_ms: float = field(default=0.0, kw_only=True)  # stamped by `run_sweeps`
 
 
 @dataclass
@@ -268,7 +267,6 @@ class MultiscaleSolveReport(Report):
     levels: int
     block: int
     stop_reason: str
-    notes: list[str] = field(default_factory=list)
     wall_ms: float = 0.0
 
     TRACE = "trace"
@@ -310,37 +308,22 @@ def solve_multiscale(
 
     A NaN or infinite residual ends the iterations at once.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     ms = build_multiscale(model, levels, block)
-    t0 = time.perf_counter()
-    trace: list[MultiscaleTraceEntry] = []
-    stop_reason = "sweep_cap"
-    iterations = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
+
+    def sweep() -> MultiscaleTraceEntry:
         resid = v_cycle(ms)
         mean_err = np.nan
         if reference is not None:
             mean_err = float(np.max(np.abs(fine_scale_means(ms) - reference)))
-        trace.append(
-            MultiscaleTraceEntry(
-                sweep=it,
-                max_residual=resid,
-                mean_err=mean_err,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
-        if not math.isfinite(resid):
-            stop_reason = "non_finite"
-            break
-        if resid < tol:
-            stop_reason = "residual"
-            break
+        return MultiscaleTraceEntry(max_residual=resid, mean_err=mean_err)
+
+    t0 = time.perf_counter()
+    trace: list[MultiscaleTraceEntry] = []
+    stop_reason = run_sweeps(sweep, trace, max_iters, tol, t0)
     return MultiscaleSolveReport(
         means=fine_scale_means(ms),
         converged=stop_reason == "residual",
-        iterations=iterations,
+        iterations=len(trace),
         trace=trace,
         levels=levels,
         block=block,
