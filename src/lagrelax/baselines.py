@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .decomposition import _window_starts
 from .models import GaussianInfoModel
@@ -41,6 +40,8 @@ def baseline_block_gauss_seidel(
     reference=None,
 ):
     """Overlapping block Gauss-Seidel on J x = h, one block solve at a time."""
+    from scipy.linalg import cho_factor, cho_solve
+
     J, h = model.aggregate_dense
     n = model.n
     covered = set()

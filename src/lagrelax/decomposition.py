@@ -19,6 +19,7 @@ one colour loop (`sweep_colours`).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -767,6 +768,44 @@ class GaussianAugmented:
         return float(np.max(np.abs(J - J0))), float(np.max(np.abs(h - h0)))
 
 
+def _add_clique_shares(model: GaussianInfoModel, rmap: ReplicationMap, stacks) -> None:
+    """Add each clique term, divided by its replica count, to the stacks at
+    every replica: one `np.add.at` per stack, with the entries in replica
+    order, so each entry sums its shares in replica order."""
+    by_support = {t.vertices: t for t in model.clique_terms}
+    terms = [by_support.get(e) for e in rmap.orig_edges]
+    rids = [rid for rid, oid in enumerate(rmap.edge_origin.tolist()) if terms[oid] is not None]
+    if not rids:
+        return
+    origin = rmap.edge_origin[rids]
+    verts = np.fromiter(
+        itertools.chain.from_iterable(rmap.replica_edges[rid] for rid in rids), dtype=int
+    )
+    k = np.array([len(rmap.replica_edges[rid]) for rid in rids])
+    r = np.bincount(rmap.edge_origin)[origin]
+    J_val = np.concatenate([terms[oid].J.ravel() for oid in origin]) / np.repeat(r, k * k)
+    h_val = np.concatenate([terms[oid].h for oid in origin]) / np.repeat(r, k)
+    # J entry t of a replica with k vertices pairs its vertices t // k and t % k.
+    kk = np.repeat(k, k * k)
+    t = np.arange(len(J_val)) - np.repeat(np.cumsum(k * k) - k * k, k * k)
+    first = np.repeat(np.cumsum(k) - k, k * k)
+    a, b = verts[first + t // kk], verts[first + t % kk]
+    # Flat index of every augmented vertex in its stack's h, its index in
+    # its component, and its stack.
+    at = np.empty(rmap.n_aug, dtype=int)
+    local = np.empty(rmap.n_aug, dtype=int)
+    sid = np.empty(rmap.n_aug, dtype=int)
+    for i, stack in enumerate(stacks):
+        at[stack.vertices] = np.arange(stack.h.size).reshape(stack.h.shape)
+        local[stack.vertices] = np.arange(stack.h.shape[1])
+        sid[stack.vertices] = i
+    J_at = at[a] * np.array([stack.h.shape[1] for stack in stacks])[sid[a]] + local[b]
+    for i, stack in enumerate(stacks):
+        mine, mine_h = sid[a] == i, sid[verts] == i
+        np.add.at(stack.J.reshape(-1), J_at[mine], J_val[mine])
+        np.add.at(stack.h.reshape(-1), at[verts[mine_h]], h_val[mine_h])
+
+
 def split_potentials(model, rmap: ReplicationMap):
     """Uniform consistent split of potentials over replicas."""
     if isinstance(model, DiscreteFactorModel):
@@ -784,18 +823,7 @@ def split_potentials(model, rmap: ReplicationMap):
             for verts in rmap.component_vertices()
         ]
         stacks = stack_components(comps)
-        term_by_support = {t.vertices: t for t in model.clique_terms}
-        for rid, e_aug in enumerate(rmap.replica_edges):
-            oid = int(rmap.edge_origin[rid])
-            e = rmap.orig_edges[oid]
-            term = term_by_support.get(e)
-            if term is None:
-                continue
-            r = rmap.replica_count(oid)
-            comp = comps[rmap.replica_component(rid)]
-            loc = np.array([comp.local[v] for v in e_aug])
-            comp.J[loc[:, None], loc] += term.J / r
-            comp.h[loc] += term.h / r
+        _add_clique_shares(model, rmap, stacks)
         return GaussianAugmented(model, rmap, comps, stacks)
 
     raise ModelError(f"unsupported model type {type(model)!r}")

@@ -16,9 +16,11 @@ a replica slot or of a vertex.
 
 Gaussian components are dense, and every Gaussian function takes one
 component or a stack of equal-size components (a leading batch axis); one
-component is a stack of one. A marginal information form is one batched
-Schur complement through Cholesky factors of the eliminated blocks
-(`gaussian_marginal_info`). A component's positive-definiteness check,
+component is a stack of one. A marginal information form is read from one
+batched Cholesky factor of each form in (eliminated, kept) order, bordered
+by its potential h (`gaussian_marginal_info`): the factor's trailing block
+and last row give the Schur complement and its potential, with no solve.
+A component's positive-definiteness check,
 mean, covariance diagonal and value all come from one batched factor
 (`factor_active`, `gaussian_component_mean`). An inactive variable, whose
 row of J is zero, is factored as a unit diagonal.
@@ -463,30 +465,33 @@ def complement(n: int, idx) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _cholesky(J, h, elim):
-    """Lower Cholesky factors of the `elim` blocks (a slice) of a stack of
-    forms, and the mask of inactive variables (all False unless the plain
-    factor fails, as it does on a block holding an inactive variable).
-    Raises as `factor_active` does."""
-    block = J[..., elim, elim]
+def _cholesky(A, J, h):
+    """Lower Cholesky factors of a stack of matrices A whose leading (n, n)
+    blocks are the forms J (A is J, or J bordered by h), and the mask of
+    the forms' inactive variables: all False unless the plain factor fails,
+    as it does on a form holding an inactive variable, which is then
+    factored as a unit diagonal. Only the leading n pivots are checked for
+    finiteness. Raises as `factor_active` does."""
+    n = J.shape[-1]
     inactive = np.zeros(J.shape[:-1], dtype=bool)
     try:
-        L = np.linalg.cholesky(block)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         inactive = ~J.any(axis=-1)
         if (h[inactive] != 0).any():
             raise NotPositiveDefiniteError(
                 "improper component: potential on an inactive variable"
             ) from None
-        unit = inactive[..., elim]
-        if not unit.any():
+        if not inactive.any():
             raise NotPositiveDefiniteError("block is not positive definite") from None
+        unit = np.zeros(A.shape[:-1])
+        unit[..., :n] = inactive
         try:
-            L = np.linalg.cholesky(block + unit[..., None] * np.eye(unit.shape[-1]))
+            L = np.linalg.cholesky(A + unit[..., None] * np.eye(A.shape[-1]))
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError("active block is not positive definite") from None
     # LAPACK may pass NaN through without failing; it reaches the diagonal.
-    if not np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all():
+    if not np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)[..., :n]).all():
         raise NotPositiveDefiniteError("block is not finite")
     return L, inactive
 
@@ -502,18 +507,25 @@ def factor_active(J, h):
     inactive variable and for a form that is not positive definite or not
     finite.
     """
-    return _cholesky(np.asarray(J, dtype=float), np.asarray(h, dtype=float), slice(None))
+    J = np.asarray(J, dtype=float)
+    return _cholesky(J, J, np.asarray(h, dtype=float))
 
 
 def gaussian_marginal_info(J, h, keep, elim=None):
     """Marginal information forms of `keep` after eliminating `elim`
     (default every index outside `keep`), one per row of a stack.
 
-    A Cholesky factor of the eliminated block gives the corrections to
-    J[keep, keep] and h[keep]; inactive eliminated variables drop out, and
-    the factor raises as `factor_active` does. `keep` and `elim` are index
-    arrays, or two slices of forms already gathered in (eliminated, kept)
-    order, which are read without another gather.
+    One Cholesky factor L of the form in (eliminated, kept) order, bordered
+    by h with an infinite corner, [[J, h], [h^T, inf]], holds the marginal:
+    its trailing kept block L_kk factors the Schur complement, so
+    J_m = L_kk L_kk^T, and its last row l on the kept columns solves
+    L_kk l = h_m. No solve is needed, and only the corner pivot, which is
+    not checked, reads the corner: a NaN in h gives a NaN h_m. The whole
+    form must be positive definite; inactive variables are factored as
+    `factor_active` factors them and read as zero rows, and the factor
+    raises as it does. `keep` and `elim` are index arrays, or two slices of
+    forms already gathered in (eliminated, kept) order, which are read
+    without another gather.
     """
     J = np.asarray(J, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -525,14 +537,19 @@ def gaussian_marginal_info(J, h, keep, elim=None):
         J, h = J[..., order[:, None], order], h[..., order]
         e = len(order) - len(keep)
         elim, keep = slice(0, e), slice(e, None)
-    Jek = J[..., elim, keep]
-    if not Jek.shape[-2]:
+    if not J[..., elim, keep].shape[-2]:
         return J[..., keep, keep], h[..., keep]
-    L, _ = _cholesky(J, h, elim)
-    W = np.linalg.solve(L, np.concatenate([Jek, h[..., elim, None]], axis=-1))
-    WK = np.swapaxes(W[..., :-1], -1, -2)
-    Jm = J[..., keep, keep] - WK @ W[..., :-1]
-    hm = h[..., keep] - (WK @ W[..., -1:])[..., 0]
+    n = J.shape[-1]
+    B = np.empty(J.shape[:-2] + (n + 1, n + 1))
+    B[..., :n, :n] = J
+    B[..., :n, n] = B[..., n, :n] = h
+    B[..., n, n] = np.inf
+    L, inactive = _cholesky(B, J, h)
+    Lkk = L[..., :n, :n][..., keep, keep]
+    Jm = Lkk @ np.swapaxes(Lkk, -1, -2)
+    hm = (Lkk @ L[..., n, :n][..., keep, None])[..., 0]
+    # An inactive kept variable was factored as a unit diagonal.
+    Jm[inactive[..., keep]] = 0.0
     return 0.5 * (Jm + np.swapaxes(Jm, -1, -2)), hm
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lagrelax
 from lagrelax.baselines import (
     baseline_block_gauss_seidel,
     baseline_gaussian_lbp,
@@ -83,3 +89,12 @@ def test_block_helpers():
     assert strips[0] == [0, 1, 4, 5, 8, 9]
     covered = set().union(*map(set, strips))
     assert covered == set(range(12))
+
+
+def test_import_does_not_load_scipy():
+    # scipy is needed only by the block Gauss-Seidel baseline and the sparse
+    # oracle, which import it when called.
+    src = str(Path(lagrelax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import lagrelax, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -7,6 +7,7 @@ from lagrelax.decomposition import (
     STRATEGIES,
     DecompositionConfig,
     DecompositionError,
+    GaussianComponent,
     ReplicationMap,
     UncoveredEdgeError,
     build_decomposition,
@@ -18,7 +19,12 @@ from lagrelax.decomposition import (
 )
 from lagrelax.discrete import build_relaxation
 from lagrelax.gaussian import build_gaussian_relaxation
-from lagrelax.generators import generate_ising_grid, generate_thin_membrane
+from lagrelax.generators import (
+    generate_chain_membrane,
+    generate_ising_grid,
+    generate_thin_membrane,
+    generate_thin_plate,
+)
 from lagrelax.inference import factor_active
 from lagrelax.models import (
     DiscreteFactorModel,
@@ -244,6 +250,50 @@ def test_gaussian_split_pd_and_consistent():
     for comp in aug.components:
         _, inactive = factor_active(comp.J, comp.h)  # raises unless PD
         assert not inactive.any()
+
+
+def replica_loop_split(model, rmap):
+    """The component forms filled one replica edge at a time."""
+    comps = [
+        GaussianComponent(verts, np.zeros((len(verts), len(verts))), np.zeros(len(verts)))
+        for verts in rmap.component_vertices()
+    ]
+    by_support = {t.vertices: t for t in model.clique_terms}
+    for rid, e_aug in enumerate(rmap.replica_edges):
+        oid = int(rmap.edge_origin[rid])
+        term = by_support.get(rmap.orig_edges[oid])
+        if term is None:
+            continue
+        r = rmap.replica_count(oid)
+        comp = comps[rmap.replica_component(rid)]
+        loc = np.array([comp.local[v] for v in e_aug])
+        comp.J[loc[:, None], loc] += term.J / r
+        comp.h[loc] += term.h / r
+    return comps
+
+
+@pytest.mark.parametrize(
+    "model, config",
+    [
+        (generate_thin_membrane(6, 0.05, seed=2), dict(strategy="thin-strips", strip_width=3, overlap=1)),
+        (generate_thin_plate(6, 0.05, seed=3), dict(strategy="thin-strips", strip_width=4, overlap=2)),
+        (
+            generate_chain_membrane(24, 0.01, seed=4),
+            dict(strategy="thin-strips", rows=1, cols=24, strip_width=4, overlap=2),
+        ),
+        (generate_thin_membrane(5, 0.05, seed=5), dict(strategy="tree-plus-leaves")),
+    ],
+    ids=["membrane", "plate", "chain", "tree-plus-leaves"],
+)
+def test_gaussian_split_matches_replica_loop_bit_for_bit(model, config):
+    rmap = build_decomposition(model.graph, DecompositionConfig(**config))
+    aug = split_potentials(model, rmap)
+    want = replica_loop_split(model, rmap)
+    assert len(aug.components) == len(want)
+    for got, ref in zip(aug.components, want):
+        assert got.vertices == ref.vertices
+        assert got.J.tobytes() == ref.J.tobytes()
+        assert got.h.tobytes() == ref.h.tobytes()
 
 
 def test_identity_map_lift_is_identity():

@@ -469,3 +469,70 @@ class TestInactiveVariables:
             J_ref = np.linalg.inv(cov[:2, :2])
             np.testing.assert_allclose(Jm[row], J_ref, rtol=1e-10)
             np.testing.assert_allclose(hm[row], J_ref @ (cov @ h[row, idx])[:2], rtol=1e-10)
+
+
+def dense_read(J, h, keep):
+    """Marginal form of `keep` from a dense inverse of the active block of
+    one form; an inactive kept variable reads a zero row and a zero h."""
+    active = np.flatnonzero(J.any(axis=-1))
+    cov = np.linalg.inv(J[np.ix_(active, active)])
+    at = {v: i for i, v in enumerate(active)}
+    kept = [i for i, v in enumerate(keep) if v in at]
+    idx = [at[keep[i]] for i in kept]
+    J_ref = np.zeros((len(keep), len(keep)))
+    h_ref = np.zeros(len(keep))
+    J_ref[np.ix_(kept, kept)] = np.linalg.inv(cov[np.ix_(idx, idx)])
+    h_ref[kept] = J_ref[np.ix_(kept, kept)] @ (cov @ h[active])[idx]
+    return J_ref, h_ref
+
+
+class TestBorderedRead:
+    """The bordered factor against a dense inverse of each active block."""
+
+    @staticmethod
+    def check(J, h, keep, scale=1.0):
+        Jm, hm = gaussian_marginal_info(J, h, keep)
+        for row in range(J.shape[0]):
+            J_ref, h_ref = dense_read(J[row], h[row], keep)
+            assert np.max(np.abs(Jm[row] - J_ref)) <= 1e-10 * np.max(np.abs(J_ref))
+            assert np.max(np.abs(hm[row] - h_ref)) <= 1e-10 * max(scale, np.max(np.abs(h_ref)))
+        return Jm, hm
+
+    def test_stacks_of_every_size_match_the_dense_read(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 68):
+            for k in range(1, min(n, 4) + 1):
+                J = np.stack([spd(rng, n) for _ in range(3)])
+                h = rng.normal(size=(3, n))
+                keep = sorted(rng.choice(n, size=k, replace=False))
+                self.check(J, h, keep)
+
+    @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
+    @pytest.mark.parametrize("n", [3, 20, 67])
+    def test_huge_potentials_do_not_overflow_the_border(self, n, scale):
+        rng = np.random.default_rng(n)
+        J = np.stack([spd(rng, n) for _ in range(2)])
+        h = scale * rng.uniform(-1.0, 1.0, size=(2, n))
+        _, hm = self.check(J, h, [0, n - 1], scale)
+        assert np.isfinite(hm).all()
+
+    def test_inactive_kept_variable_reads_a_zero_row(self):
+        rng = np.random.default_rng(3)
+        active = [0, 1, 3, 4, 5]
+        J = np.zeros((2, 6, 6))
+        J[0] = spd(rng, 6)
+        J[1][np.ix_(active, active)] = spd(rng, 5)
+        h = rng.normal(size=(2, 6))
+        h[1, 2] = 0.0
+        Jm, hm = self.check(J, h, [0, 2, 4])
+        assert not Jm[1, 1].any() and not Jm[1, :, 1].any() and hm[1, 1] == 0.0
+
+    def test_nan_potential_gives_a_nan_read_without_raising(self):
+        rng = np.random.default_rng(4)
+        J = np.stack([spd(rng, 8) for _ in range(2)])
+        h = rng.normal(size=(2, 8))
+        Jm_ok, _ = gaussian_marginal_info(J, h, [0, 1])
+        h[1, 5] = np.nan
+        Jm, hm = gaussian_marginal_info(J, h, [0, 1])
+        assert np.isnan(hm[1]).all() and np.isfinite(hm[0]).all()
+        np.testing.assert_allclose(Jm, Jm_ok, rtol=1e-12)
